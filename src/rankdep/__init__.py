@@ -15,6 +15,7 @@ from .aggregate import (
     StatisticId,
     StatKind,
     raw_statistic,
+    raw_statistics,
     rescale,
     s_max_tau,
     s_rho_s,
@@ -33,9 +34,11 @@ from .calibrate import (
     load_null_table,
     load_or_create_null_table,
     montecarlo_null,
+    montecarlo_nulls,
     normal_pvalue,
     permutation_ranks,
     run_test,
+    run_tests,
     save_null_table,
 )
 from .errors import (

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, SampleTooSmall, UnknownConstant
 from .kernels import DEGREE, KernelId, mu_h_exact
-from .pairwise import PairStatistics, all_pairs, all_pairs_spearman
+from .pairwise import TAU_FAMILY, PairStatistics, all_pairs, all_pairs_spearman, tau_family_pairs
 from .ranks import RankMatrix
 
 
@@ -169,18 +169,32 @@ def raw_from_pairs(statistic: StatisticId, pairs: PairStatistics) -> float:
     raise ValueError(f"{statistic} does not consume pair statistics")
 
 
+def raw_statistics(ranks: RankMatrix, statistics, threads: int = 1) -> list[float]:
+    """Raw (unrescaled) values of several statistics on one rank matrix.
+
+    Statistics are grouped by pair_requirement, so each all_pairs result is
+    computed once, and the tau family (tau U, rho_hat U, tau W) comes from a
+    single tau-engine pass.  Values equal raw_statistic's one by one.
+    """
+    stats = list(statistics)
+    n = ranks.n
+    for statistic in stats:
+        need = min_sample_size(statistic)
+        if n < need:
+            raise SampleTooSmall(f"{statistic.name} needs n >= {need}, got {n}")
+    reqs = {pair_requirement(s) for s in stats} - {None}
+    pairs = tau_family_pairs(ranks, reqs & TAU_FAMILY)
+    pairs.update((req, all_pairs(ranks, *req, threads=threads)) for req in reqs - TAU_FAMILY)
+    raws = []
+    for statistic in stats:
+        req = pair_requirement(statistic)
+        raws.append(s_rho_s(ranks, threads) if req is None else raw_from_pairs(statistic, pairs[req]))
+    return raws
+
+
 def raw_statistic(ranks: RankMatrix, statistic: StatisticId, threads: int = 1) -> float:
     """Compute the raw (unrescaled) aggregate statistic on a rank matrix."""
-    n = ranks.n
-    need = min_sample_size(statistic)
-    if n < need:
-        raise SampleTooSmall(f"{statistic.name} needs n >= {need}, got {n}")
-    req = pair_requirement(statistic)
-    if req is None:
-        return s_rho_s(ranks, threads)
-    kernel, kind = req
-    pairs = all_pairs(ranks, kernel, kind, threads)
-    return raw_from_pairs(statistic, pairs)
+    return raw_statistics(ranks, [statistic], threads)[0]
 
 
 # ----------------------------------------------------------------- rescaling

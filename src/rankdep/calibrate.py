@@ -23,11 +23,12 @@ from . import _rng
 from .aggregate import (
     StatisticId,
     min_sample_size,
-    raw_statistic,
+    raw_statistics,
     rescale,
     statistic_from_name,
 )
 from .errors import ConfigError, DomainError
+from .pairwise import _row_blocks, _run_blocks
 from .ranks import RankMatrix
 
 
@@ -99,6 +100,42 @@ def permutation_ranks(n: int, m: int, seed: int, replicate: int) -> RankMatrix:
     return RankMatrix(rm)
 
 
+def montecarlo_nulls(
+    statistics,
+    n: int,
+    m: int,
+    reps: int,
+    seed: int,
+    threads: int = 1,
+) -> list[NullTable]:
+    """Null tables of several statistics from one pass over `reps` keyed datasets.
+
+    Each permutation dataset is drawn once and all statistics are evaluated
+    on it together, so table i equals montecarlo_null(statistics[i], ...).
+    """
+    stats = list(statistics)
+    if reps < 1:
+        raise ConfigError(f"reps must be positive, got {reps}")
+    if m < 2:
+        raise ConfigError(f"need m >= 2 columns, got {m}")
+    for statistic in stats:
+        need = min_sample_size(statistic)
+        if n < need:
+            raise ConfigError(f"{statistic.name} needs n >= {need}, got {n}")
+    vals = np.empty((len(stats), reps), dtype=np.float64)
+
+    def work(block):
+        for r in range(block[0], block[1]):
+            vals[:, r] = raw_statistics(permutation_ranks(n, m, seed, r), stats)
+
+    _run_blocks(work, _row_blocks(reps, threads), threads)
+    vals.sort(axis=1)
+    return [
+        NullTable(statistic=statistic, n=n, m=m, reps=reps, seed=seed, values=values)
+        for statistic, values in zip(stats, vals)
+    ]
+
+
 def montecarlo_null(
     statistic: StatisticId,
     n: int,
@@ -108,25 +145,7 @@ def montecarlo_null(
     threads: int = 1,
 ) -> NullTable:
     """Evaluate the raw statistic on `reps` keyed permutation datasets."""
-    if reps < 1:
-        raise ConfigError(f"reps must be positive, got {reps}")
-    if m < 2:
-        raise ConfigError(f"need m >= 2 columns, got {m}")
-    need = min_sample_size(statistic)
-    if n < need:
-        raise ConfigError(f"{statistic.name} needs n >= {need}, got {n}")
-    vals = np.empty(reps, dtype=np.float64)
-
-    def work(block):
-        for r in range(block[0], block[1]):
-            ranks = permutation_ranks(n, m, seed, r)
-            vals[r] = raw_statistic(ranks, statistic, threads=1)
-
-    from .pairwise import _row_blocks, _run_blocks
-
-    _run_blocks(work, _row_blocks(reps, threads), threads)
-    vals.sort()
-    return NullTable(statistic=statistic, n=n, m=m, reps=reps, seed=seed, values=vals)
+    return montecarlo_nulls([statistic], n, m, reps, seed, threads)[0]
 
 
 def cache_name(statistic: StatisticId, n: int, m: int, reps: int, seed: int, fmt: str = "csv") -> str:
@@ -228,6 +247,65 @@ class TestResult:
         }
 
 
+def run_tests(
+    ranks: RankMatrix,
+    statistics,
+    alpha: float = 0.05,
+    method: Method = ASYMPTOTIC,
+    threads: int = 1,
+    null_tables=None,
+) -> list[TestResult]:
+    """Full pipeline for several statistics on one rank matrix.
+
+    The raw values come from one raw_statistics call and, for Monte Carlo,
+    the null tables from one montecarlo_nulls pass (unless `null_tables`
+    gives one table per statistic).  Result i equals run_test for
+    statistics[i].
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    stats = list(statistics)
+    n, m = ranks.n, ranks.m
+    raws = raw_statistics(ranks, stats, threads=threads)
+    scaled = [rescale(statistic, raw, n, m) for statistic, raw in zip(stats, raws)]
+    montecarlo = isinstance(method, MonteCarlo)
+    tables = [None] * len(stats)
+    if montecarlo:
+        if method.reps < 1:
+            raise ConfigError(f"reps must be positive, got {method.reps}")
+        if null_tables is None:
+            tables = montecarlo_nulls(stats, n, m, method.reps, method.seed, threads)
+        else:
+            tables = list(null_tables)
+            keys = [(t.statistic, t.n, t.m) for t in tables]
+            if keys != [(statistic, n, m) for statistic in stats]:
+                raise ConfigError("provided null table does not match this test")
+    results = []
+    for statistic, raw, sc, table in zip(stats, raws, scaled, tables):
+        if table is not None:
+            p = (1 + int(np.count_nonzero(table.values >= raw))) / (table.reps + 1)
+        elif sc.limit == "gumbel":
+            p = gumbel_max_pvalue(raw, n, m)
+        else:
+            p = normal_pvalue(sc.rescaled)
+        results.append(
+            TestResult(
+                statistic=statistic,
+                raw=raw,
+                rescaled=sc.rescaled,
+                p_value=p,
+                reject=p <= alpha,
+                n=n,
+                m=m,
+                method="montecarlo" if montecarlo else "asymptotic",
+                alpha=alpha,
+                seed=method.seed if montecarlo else None,
+                reps=table.reps if montecarlo else None,
+            )
+        )
+    return results
+
+
 def run_test(
     ranks: RankMatrix,
     statistic: StatisticId,
@@ -237,47 +315,5 @@ def run_test(
     null_table: NullTable | None = None,
 ) -> TestResult:
     """Full pipeline on a rank matrix: raw value, rescaling, p-value, decision."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    n, m = ranks.n, ranks.m
-    raw = raw_statistic(ranks, statistic, threads=threads)
-    scaled = rescale(statistic, raw, n, m)
-    if isinstance(method, MonteCarlo):
-        if method.reps < 1:
-            raise ConfigError(f"reps must be positive, got {method.reps}")
-        table = null_table
-        if table is not None:
-            if (table.statistic, table.n, table.m) != (statistic, n, m):
-                raise ConfigError("provided null table does not match this test")
-        else:
-            table = montecarlo_null(statistic, n, m, method.reps, method.seed, threads)
-        exceed = int(np.count_nonzero(table.values >= raw))
-        p = (1 + exceed) / (table.reps + 1)
-        return TestResult(
-            statistic=statistic,
-            raw=raw,
-            rescaled=scaled.rescaled,
-            p_value=p,
-            reject=p <= alpha,
-            n=n,
-            m=m,
-            method="montecarlo",
-            alpha=alpha,
-            seed=method.seed,
-            reps=table.reps,
-        )
-    if scaled.limit == "gumbel":
-        p = gumbel_max_pvalue(raw, n, m)
-    else:
-        p = normal_pvalue(scaled.rescaled)
-    return TestResult(
-        statistic=statistic,
-        raw=raw,
-        rescaled=scaled.rescaled,
-        p_value=p,
-        reject=p <= alpha,
-        n=n,
-        m=m,
-        method="asymptotic",
-        alpha=alpha,
-    )
+    tables = None if null_table is None else [null_table]
+    return run_tests(ranks, [statistic], alpha, method, threads, tables)[0]

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .aggregate import statistic_from_name
-from .calibrate import ASYMPTOTIC, MonteCarlo, run_test
+from .calibrate import ASYMPTOTIC, MonteCarlo, run_tests
 from .errors import (
     ConfigError,
     LengthMismatch,
@@ -121,10 +121,7 @@ def cmd_test(args) -> int:
         method = MonteCarlo(reps=args.reps, seed=seed)
     else:
         method = ASYMPTOTIC
-    results = [
-        run_test(ranks, sid, alpha=args.alpha, method=method, threads=args.threads)
-        for sid in stats
-    ]
+    results = run_tests(ranks, stats, alpha=args.alpha, method=method, threads=args.threads)
     report = {"schema": REPORT_SCHEMA, "results": [r.to_dict() for r in results]}
     if args.method == "asymptotic" and ranks.n < 32:
         report["note"] = (

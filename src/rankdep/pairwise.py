@@ -7,6 +7,18 @@ the float type (2^24 for float32 sign products, 2^53 for float64), and the
 naive oracles enumerate subsets with rational arithmetic.  Exactness is what
 makes results bit-identical regardless of thread count.
 
+The tau family (Kendall tau U, rho_hat U, tau W) has one engine,
+tau_family_pairs.  All three are exact integer functions of the sign
+products sign(R_ip - R_jp) sign(R_iq - R_jq), and the engine forms them once
+per rank matrix.  It streams float32 sign rows through GEMMs in slabs of at
+most SIGN_BUDGET bytes (a fixed 1 MiB; the W path holds at least one n x m
+row block), so memory no longer grows as m n^2, and a slab never exceeds
+2^24 rows, which keeps its float32 product exact.  Integer ceilings: the tau
+Gram is exact for n <= 2^24, rho_hat and Spearman's rho for n up to about
+10^5, tau W for n <= 13,777 (it squares C(n,2)-sized counts in float64), and
+Hoeffding's D for n <= 55,108.  The other kernels run their scalar path once
+per pair.
+
 U-statistics average the kernel over k-subsets; W-statistics average
 h(S1) * h(S2) over ordered pairs of disjoint k-subsets and are exactly
 unbiased for the squared signal.  The generic W engine runs in O(n^k) time
@@ -103,10 +115,15 @@ def kendall_tau_fast(rx, ry) -> float:
 
 
 def spearman_rho(rx, ry) -> float:
-    """Classical Spearman rank correlation."""
+    """Classical Spearman rank correlation.
+
+    The integer ratio (n(n^2-1) - 6 d^2) / (n(n^2-1)) is rounded once, so the
+    value is bitwise equal to all_pairs_spearman's.
+    """
     vx, vy, n = _check_pair(rx, ry, 2, "spearman_rho")
     d2 = int(np.dot(vx - vy, vx - vy))
-    return 1 - 6 * d2 / (n * (n * n - 1))
+    den = n * (n * n - 1)
+    return (den - 6 * d2) / den
 
 
 def rho_hat(rx, ry) -> float:
@@ -121,22 +138,34 @@ def rho_hat(rx, ry) -> float:
     return (rnum - 3 * tnum) / (n * (n - 1) * (n - 2))
 
 
+def _hoeffding_num(vx: np.ndarray, vy: np.ndarray, c: np.ndarray) -> int:
+    """(n-2)(n-3) D1 + D2 - 2(n-2) D3 as an exact Python int.
+
+    Each term of D2 and D3 is an int64 product below n^4, exact while
+    n^4 < 2^63 (n <= 55,108); the sums, which exceed int64 from n of about
+    9,000, are taken in Python ints.
+    """
+    n = vx.size
+    d1 = int(np.dot(c, c - 1))
+    d2 = sum(((vx - 1) * (vx - 2) * (vy - 1) * (vy - 2)).tolist())
+    d3 = sum(((vx - 2) * (vy - 2) * c).tolist())
+    return (n - 2) * (n - 3) * d1 + d2 - 2 * (n - 2) * d3
+
+
 def hoeffding_d(rx, ry) -> float:
     """Degree-5 joint-vs-product-distance U-statistic in O(n^2).
 
     Count form: with c_i = #{j : R_j < R_i and S_j < S_i},
     D = [(n-2)(n-3) D1 + D2 - 2(n-2) D3] / (n..(n-4)) where D1 = sum c(c-1),
-    D2 = sum (R-1)(R-2)(S-1)(S-2), D3 = sum (R-2)(S-2)c.
+    D2 = sum (R-1)(R-2)(S-1)(S-2), D3 = sum (R-2)(S-2)c.  Exact up to
+    n = 55,108 (see _hoeffding_num); the O(n^2) count matrix is the practical
+    limit well below that.
     """
     vx, vy, n = _check_pair(rx, ry, 5, "hoeffding_d")
     less = (vx[None, :] < vx[:, None]) & (vy[None, :] < vy[:, None])
     c = less.sum(axis=1, dtype=np.int64)
-    d1 = int(np.dot(c, c - 1))
-    d2 = int(np.sum((vx - 1) * (vx - 2) * (vy - 1) * (vy - 2), dtype=np.int64))
-    d3 = int(np.sum((vx - 2) * (vy - 2) * c, dtype=np.int64))
-    num = (n - 2) * (n - 3) * d1 + d2 - 2 * (n - 2) * d3
     den = n * (n - 1) * (n - 2) * (n - 3) * (n - 4)
-    return num / den
+    return _hoeffding_num(vx, vy, c) / den
 
 
 def tstar(rx, ry) -> float:
@@ -343,52 +372,74 @@ def _run_blocks(fn, blocks, threads: int) -> None:
             list(ex.map(fn, blocks))
 
 
-def _sign_flat(ranks: np.ndarray) -> np.ndarray:
-    """Per-column concordance sign matrices, flattened to (m, n*n) int8."""
-    n, m = ranks.shape
-    out = np.empty((m, n * n), dtype=np.int8)
-    for j in range(m):
-        col = ranks[:, j]
-        out[j] = np.sign(col[:, None] - col[None, :]).astype(np.int8).reshape(-1)
-    return out
+# The tau engine.  With s_ij^p = sign(R_ip - R_jp), every tau-family pair
+# statistic is an exact integer function of the sign products s^p s^q:
+#   G = n(n-1) tau = sum_{i != j} s_ij^p s_ij^q = 2 sum_{i < j} s_ij^p s_ij^q
+#   g_i = sum_j s_ij^p s_ij^q (so G = sum_i g_i) and, with T = G / 2,
+#   C(n,2) C(n-2,2) W_tau = T^2 - sum_i g_i^2 + C(n,2).
+# Ranks in a column are distinct, so R_ip - R_jp is zero only for j = i;
+# signs come from the branch-free copysign(1, d) (several times faster than
+# np.sign on mixed signs), and the W path zeroes the j = i entries itself.
+
+SIGN_BUDGET = 1 << 20  # bytes of float32 sign rows the engine holds at once
+_F32_EXACT = 1 << 24  # float32 holds every integer up to 2^24
+
+TAU_FAMILY = frozenset({(KernelId.TAU, "U"), (KernelId.RHO_HAT, "U"), (KernelId.TAU, "W")})
 
 
-def _exact_gram(flat: np.ndarray, threads: int) -> np.ndarray:
-    """G = flat @ flat.T for small-integer entries, exact, thread-stable.
+def _slab_rows(m: int) -> int:
+    rows = max(1, SIGN_BUDGET // (4 * m))
+    # a slab's column products sum at most `rows` terms of +-1, exact in float32
+    assert rows <= _F32_EXACT
+    return rows
 
-    float32 GEMMs on column chunks keep every partial sum below 2^24, so
-    each chunk result is an exact integer; chunks accumulate in float64.
-    """
-    m, length = flat.shape
+
+def _tau_gram(rf: np.ndarray) -> np.ndarray:
+    """G = n(n-1) tau for every column pair, from the i < j sign rows only."""
+    n, m = rf.shape
+    cap = _slab_rows(m)
+    slab = np.empty((min(cap, n * (n - 1) // 2), m), dtype=np.float32)
     g = np.zeros((m, m), dtype=np.float64)
-    chunk = 1 << 22
-    blocks = _row_blocks(m, threads)
-    for lo in range(0, length, chunk):
-        part = flat[:, lo : lo + chunk].astype(np.float32)
+    fill = 0
 
-        def work(b, part=part):
-            g[b[0] : b[1]] += (part[b[0] : b[1]] @ part.T).astype(np.float64)
+    def flush(rows):
+        np.copysign(1.0, rows, out=rows, dtype=np.float32)
+        np.add(g, rows.T @ rows, out=g)
 
-        _run_blocks(work, blocks, threads)
-    return g
+    for i in range(n - 1):
+        lo = i + 1
+        while lo < n:
+            take = min(n - lo, cap - fill)
+            np.subtract(rf[i], rf[lo : lo + take], out=slab[fill : fill + take])
+            fill += take
+            lo += take
+            if fill == cap:
+                flush(slab)
+                fill = 0
+    flush(slab[:fill])
+    return 2.0 * g
 
 
-def _tau_num_matrix(ranks: np.ndarray, threads: int) -> np.ndarray:
-    """n(n-1) * tau for every column pair, as exact integers in float64."""
-    return _exact_gram(_sign_flat(ranks), threads)
+def _tau_rows(rf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G = sum_i g_i and sum_i g_i**2 (elementwise), blocks of rows i at a time."""
+    n, m = rf.shape
+    step = max(1, _slab_rows(m) // n)
+    g = np.zeros((m, m), dtype=np.float64)
+    g2 = np.zeros((m, m), dtype=np.float64)
+    for lo in range(0, n, step):
+        rows = np.arange(min(step, n - lo))
+        b = rf[lo : lo + rows.size, None, :] - rf[None, :, :]  # (rows, n, m)
+        np.copysign(1.0, b, out=b, dtype=np.float32)
+        b[rows, lo + rows, :] = 0.0
+        gi = (b.transpose(0, 2, 1) @ b).astype(np.float64)
+        g += gi.sum(axis=0)
+        g2 += np.einsum("kpq,kpq->pq", gi, gi)
+    return g, g2
 
 
-def _rank_gram(ranks: np.ndarray, threads: int) -> np.ndarray:
-    n, m = ranks.shape
+def _rank_gram(ranks: np.ndarray) -> np.ndarray:
     rf = ranks.astype(np.float64)
-    g = np.zeros((m, m), dtype=np.float64)
-    blocks = _row_blocks(m, threads)
-
-    def work(b):
-        g[b[0] : b[1]] = rf.T[b[0] : b[1]] @ rf
-
-    _run_blocks(work, blocks, threads)
-    return g
+    return rf.T @ rf
 
 
 def _upper(mat: np.ndarray, m: int) -> np.ndarray:
@@ -396,12 +447,28 @@ def _upper(mat: np.ndarray, m: int) -> np.ndarray:
     return np.ascontiguousarray(mat[iu])
 
 
+def _check_requirement(n: int, m: int, kernel: KernelId, kind: str) -> None:
+    if kind not in ("U", "W"):
+        raise ValueError(f"kind must be 'U' or 'W', got {kind!r}")
+    if m < 2:
+        raise ValueError("need at least 2 columns")
+    k = DEGREE[kernel]
+    min_n = k if kind == "U" else 2 * k
+    if n < min_n:
+        raise SampleTooSmall(f"{kind}({kernel.key}) needs n >= {min_n}, got {n}")
+
+
 def all_pairs_spearman(ranks: RankMatrix, threads: int = 1) -> np.ndarray:
-    """Spearman rho for all column pairs, lexicographic order."""
+    """Spearman rho for all column pairs, lexicographic order.
+
+    One integer ratio (12 sum RS - 3n(n+1)^2) / (n(n^2-1)) per pair, exact in
+    float64 for n up to about 10^5.  The rank Gram is a single GEMM, which
+    BLAS threads itself; ``threads`` does not split it.
+    """
     n, m = ranks.n, ranks.m
     if n < 2:
         raise SampleTooSmall(f"spearman needs n >= 2, got {n}")
-    g = _rank_gram(ranks.ranks, threads)
+    g = _rank_gram(ranks.ranks)
     rho = (12.0 * g - 3.0 * n * (n + 1) ** 2) / (n * (n * n - 1))
     return _upper(rho, m)
 
@@ -420,61 +487,59 @@ def _pairwise_loop(ranks: np.ndarray, fn, threads: int) -> np.ndarray:
     return vals
 
 
-def _w_tau_all(ranks: np.ndarray, threads: int) -> np.ndarray:
-    n, m = ranks.shape
-    tnum = _tau_num_matrix(ranks, threads)  # 2T as exact ints
-    t = tnum / 2.0
-    r2 = np.zeros((m, m), dtype=np.float64)
-    blocks = _row_blocks(n, threads)
-    partials = {}
+def tau_family_pairs(ranks: RankMatrix, requirements) -> dict[tuple[KernelId, str], PairStatistics]:
+    """Tau U, rho_hat U and tau W on every column pair from one tau-engine pass.
 
-    def work(b):
-        acc = np.zeros((m, m), dtype=np.float64)
-        for i in range(b[0], b[1]):
-            bi = np.sign(ranks[i][None, :] - ranks).T.astype(np.float32)  # (m, n)
-            gi = (bi @ bi.T).astype(np.float64)
-            acc += gi * gi
-        partials[b] = acc
-
-    _run_blocks(work, blocks, threads)
-    for b in blocks:
-        r2 += partials[b]
-    num = t * t - r2 + math.comb(n, 2)
-    return num / (math.comb(n, 2) * math.comb(n - 2, 2))
+    ``requirements`` is a collection of (kernel, kind) pairs from TAU_FAMILY.
+    The sign products are formed once: by the per-row W pass when tau W is
+    requested (it also yields G), otherwise by the upper-triangle U pass.
+    Each value is an exact integer ratio rounded once (ceilings in the module
+    docstring), so the result does not depend on BLAS threading or blocking.
+    """
+    reqs = set(requirements)
+    if not reqs:
+        return {}
+    n, m = ranks.n, ranks.m
+    if n > _F32_EXACT:
+        # float32 ranks, and the g_i sums of n terms of +-1, stay exact below 2^24
+        raise ValueError(f"the tau engine is exact for n <= 2^24, got {n}")
+    for kernel, kind in reqs:
+        if (kernel, kind) not in TAU_FAMILY:
+            raise ValueError(f"{kind}({kernel.key}) is not a tau-family statistic")
+        _check_requirement(n, m, kernel, kind)
+    rf = ranks.ranks.astype(np.float32)
+    if (KernelId.TAU, "W") in reqs:
+        g, g2 = _tau_rows(rf)
+    else:
+        g = _tau_gram(rf)
+    out = {}
+    for kernel, kind in reqs:
+        if kind == "W":
+            t = g / 2.0
+            mat = (t * t - g2 + math.comb(n, 2)) / (math.comb(n, 2) * math.comb(n - 2, 2))
+        elif kernel is KernelId.TAU:
+            mat = g / (n * (n - 1))
+        else:
+            rg = _rank_gram(ranks.ranks)
+            mat = (12.0 * rg - 3.0 * n * (n + 1) ** 2 - 3.0 * g) / (n * (n - 1) * (n - 2))
+        out[(kernel, kind)] = PairStatistics(kernel=kernel, kind=kind, values=_upper(mat, m), n=n, m=m)
+    return out
 
 
 def all_pairs(ranks: RankMatrix, kernel: KernelId, kind: str = "U", threads: int = 1) -> PairStatistics:
     """Evaluate one pairwise statistic on every column pair.
 
+    The tau family goes through the tau engine (tau_family_pairs); the other
+    kernels run their exact scalar path per pair, split over ``threads``.
     All paths are exact-integer, so the result does not depend on threads.
     """
-    if kind not in ("U", "W"):
-        raise ValueError(f"kind must be 'U' or 'W', got {kind!r}")
+    _check_requirement(ranks.n, ranks.m, kernel, kind)
+    if (kernel, kind) in TAU_FAMILY:
+        return tau_family_pairs(ranks, [(kernel, kind)])[(kernel, kind)]
     n, m = ranks.n, ranks.m
-    if m < 2:
-        raise ValueError("need at least 2 columns")
-    k = DEGREE[kernel]
-    min_n = k if kind == "U" else 2 * k
-    if n < min_n:
-        raise SampleTooSmall(f"{kind}({kernel.key}) needs n >= {min_n}, got {n}")
-    r = ranks.ranks
-
     if kind == "U":
-        if kernel is KernelId.TAU:
-            tau = _tau_num_matrix(r, threads) / (n * (n - 1))
-            vals = _upper(tau, m)
-        elif kernel is KernelId.RHO_HAT:
-            tnum = _tau_num_matrix(r, threads)
-            g = _rank_gram(r, threads)
-            rh = (12.0 * g - 3.0 * n * (n + 1) ** 2 - 3.0 * tnum) / (n * (n - 1) * (n - 2))
-            vals = _upper(rh, m)
-        else:
-            vals = _pairwise_loop(r, _FAST_U[kernel], threads)
+        fn = _FAST_U[kernel]
     else:
-        if kernel is KernelId.TAU:
-            vals = _upper(_w_tau_all(r, threads), m)
-        else:
-            fn = lambda a, b: _w_engine(kernel, a, b, n)  # noqa: E731
-            vals = _pairwise_loop(r, fn, threads)
-
+        fn = lambda a, b: _w_engine(kernel, a, b, n)  # noqa: E731
+    vals = _pairwise_loop(ranks.ranks, fn, threads)
     return PairStatistics(kernel=kernel, kind=kind, values=vals, n=n, m=m)

@@ -51,10 +51,9 @@ class RankMatrix:
         if r.ndim != 2:
             raise ValueError("rank matrix must be 2-dimensional")
         n = r.shape[0]
-        expected = np.arange(1, n + 1)
-        for j in range(r.shape[1]):
-            if not np.array_equal(np.sort(r[:, j]), expected):
-                raise ValueError(f"column {j} is not a permutation of 1..{n}")
+        bad = (np.sort(r, axis=0) != np.arange(1, n + 1)[:, None]).any(axis=0)
+        if bad.any():
+            raise ValueError(f"column {int(np.argmax(bad))} is not a permutation of 1..{n}")
 
     @property
     def n(self) -> int:

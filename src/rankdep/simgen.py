@@ -28,19 +28,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import _rng
-from .aggregate import (
-    StatisticId,
-    StatKind,
-    pair_requirement,
-    raw_from_pairs,
-    rescale,
-    s_rho_s,
-    statistic_from_name,
-)
-from .calibrate import ASYMPTOTIC, Method, MonteCarlo, montecarlo_null, normal_pvalue, gumbel_max_pvalue
+from .aggregate import StatisticId, statistic_from_name
+from .calibrate import ASYMPTOTIC, Method, MonteCarlo, montecarlo_nulls, normal_pvalue, run_tests
 from .errors import ConfigError, InfeasibleSignal, NotPositiveDefinite
-from .kernels import KernelId
-from .pairwise import _row_blocks, _run_blocks, all_pairs
+from .pairwise import _row_blocks, _run_blocks
 from .ranks import JitterWithSeed, compute_ranks
 
 SCATTER_KINDS = ("identity", "equicorrelation", "pentadiagonal")
@@ -217,40 +208,24 @@ def run_experiment(
     signal_to_rho(scenario.signal, scenario.scatter, scenario.m)
 
     n, m = scenario.n, scenario.m
-    tables = {}
+    rank_stats = [sid for sid in sids if sid != PEARSON]
+    tables = None
     if isinstance(method, MonteCarlo):
-        for sid in sids:
-            if sid == PEARSON:
-                raise ConfigError("s_pearson supports only asymptotic calibration")
-            tables[sid] = montecarlo_null(sid, n, m, method.reps, method.seed, threads)
-
-    groups: dict[tuple[KernelId, str], list[StatisticId]] = {}
-    for sid in sids:
-        if isinstance(sid, StatisticId):
-            req = pair_requirement(sid)
-            if req is not None:
-                groups.setdefault(req, []).append(sid)
+        if PEARSON in sids:
+            raise ConfigError("s_pearson supports only asymptotic calibration")
+        tables = montecarlo_nulls(rank_stats, n, m, method.reps, method.seed, threads)
 
     pvals = np.empty((len(sids), reps), dtype=np.float64)
 
     def one_rep(r: int) -> None:
         data = gen_dataset(scenario, r)
         ranks = compute_ranks(data, JitterWithSeed(_rng.mix_key(scenario.seed, r, 2)))
-        pair_cache = {req: all_pairs(ranks, req[0], req[1], threads=1) for req in groups}
+        results = iter(run_tests(ranks, rank_stats, alpha, method, threads=1, null_tables=tables))
         for i, sid in enumerate(sids):
             if sid == PEARSON:
-                raw = _pearson_sum(data)
-                pvals[i, r] = normal_pvalue(raw * n / m)
-                continue
-            req = pair_requirement(sid)
-            raw = s_rho_s(ranks, 1) if req is None else raw_from_pairs(sid, pair_cache[req])
-            if isinstance(method, MonteCarlo):
-                tbl = tables[sid]
-                pvals[i, r] = (1 + int(np.count_nonzero(tbl.values >= raw))) / (tbl.reps + 1)
-            elif sid.kind is StatKind.S_MAX_TAU:
-                pvals[i, r] = gumbel_max_pvalue(raw, n, m)
+                pvals[i, r] = normal_pvalue(_pearson_sum(data) * n / m)
             else:
-                pvals[i, r] = normal_pvalue(rescale(sid, raw, n, m).rescaled)
+                pvals[i, r] = next(results).p_value
 
     def work(block):
         for r in range(block[0], block[1]):

@@ -16,6 +16,7 @@ from rankdep import (
     min_sample_size,
     mu_h_exact,
     raw_statistic,
+    raw_statistics,
     rescale,
     s_max_tau,
     s_rho_s,
@@ -145,6 +146,17 @@ def test_raw_statistic_matches_manual_path():
     pairs = all_pairs(rm, KernelId.TAU, "U")
     want = s_stat(pairs, 12, 4)
     assert raw_statistic(rm, statistic_from_name("s_tau")) == want
+
+
+def test_raw_statistics_match_single_statistic_calls():
+    # one shared pass (tau W yields the Gram for tau U and rho_hat U) gives
+    # the same bits as each statistic computed on its own
+    rm = random_ranks(10, 12, 4)
+    stats = list(NAMED_STATISTICS.values())
+    joint = raw_statistics(rm, stats)
+    for sid, value in zip(stats, joint):
+        assert value == raw_statistic(rm, sid), sid.name
+    assert raw_statistics(rm, stats[::-1]) == joint[::-1]
 
 
 def test_rescale_factors_worked_values():

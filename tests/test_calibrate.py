@@ -14,9 +14,11 @@ from rankdep import (
     load_null_table,
     load_or_create_null_table,
     montecarlo_null,
+    montecarlo_nulls,
     normal_pvalue,
     permutation_ranks,
     run_test,
+    run_tests,
     save_null_table,
     statistic_from_name,
 )
@@ -73,6 +75,23 @@ def test_montecarlo_null_sorted_and_thread_invariant():
     assert np.array_equal(t1.values, t4.values)
     assert np.all(np.diff(t1.values) >= 0)
     assert t1.reps == 40 and t1.values.shape == (40,)
+
+
+def test_joint_nulls_match_separate_tables():
+    stats = [statistic_from_name(s) for s in ("s_tau", "s_max_tau", "t_tau")]
+    joint = montecarlo_nulls(stats, n=16, m=5, reps=30, seed=7)
+    for sid, table in zip(stats, joint):
+        alone = montecarlo_null(sid, n=16, m=5, reps=30, seed=7)
+        assert table.statistic == sid
+        assert table.values.tobytes() == alone.values.tobytes(), sid.name
+
+
+def test_run_tests_match_run_test():
+    rm = permutation_ranks(16, 4, seed=12, replicate=3)
+    stats = [statistic_from_name(s) for s in ("s_tau", "t_tau", "s_max_tau", "s_rho_s")]
+    for method in (ASYMPTOTIC, MonteCarlo(reps=19, seed=5)):
+        joint = run_tests(rm, stats, method=method)
+        assert joint == [run_test(rm, sid, method=method) for sid in stats]
 
 
 def test_montecarlo_null_validation():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,10 @@ from rankdep import (
     w_stat,
     w_stat_naive,
 )
+from rankdep import pairwise
 from rankdep._rng import generator
 from rankdep.kernels import DEGREE
-from rankdep.pairwise import _FAST_U
+from rankdep.pairwise import _FAST_U, _hoeffding_num
 
 REL = 1e-10
 
@@ -148,7 +151,7 @@ def test_all_pairs_spearman_matches_scalar():
     idx = 0
     for p in range(rm.m):
         for q in range(p + 1, rm.m):
-            assert close(float(vals[idx]), spearman_rho(rm.column(p), rm.column(q)), 1e-13)
+            assert vals[idx] == spearman_rho(rm.column(p), rm.column(q))
             idx += 1
 
 
@@ -167,6 +170,60 @@ def test_all_pairs_thread_count_does_not_change_bits():
     s1 = all_pairs_spearman(rm, threads=1)
     s8 = all_pairs_spearman(rm, threads=8)
     assert np.array_equal(s1, s8)
+
+
+def test_tau_engine_slab_size_does_not_change_bits(monkeypatch):
+    # tiny budgets split the sign rows of one i across several slabs
+    rm = _random_ranks(45, 37, 6)
+    reqs = [(KernelId.TAU, "U"), (KernelId.RHO_HAT, "U"), (KernelId.TAU, "W")]
+    want = {req: all_pairs(rm, *req).values for req in reqs}
+    for budget in (4, 100, 1000):
+        monkeypatch.setattr(pairwise, "SIGN_BUDGET", budget)
+        for req in reqs:
+            assert np.array_equal(all_pairs(rm, *req).values, want[req]), (budget, req)
+        shared = pairwise.tau_family_pairs(rm, reqs)
+        for req in reqs:
+            assert np.array_equal(shared[req].values, want[req]), (budget, req)
+
+
+def test_tau_engine_memory_is_bounded():
+    # the sign rows are streamed in slabs of SIGN_BUDGET bytes, so the peak
+    # does not grow as m * n^2 (about 80 MB for an (n^2, m) sign matrix here)
+    rm = _random_ranks(46, 1024, 16)
+    for kind in ("U", "W"):
+        tracemalloc.start()
+        try:
+            all_pairs(rm, KernelId.TAU, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, (kind, peak)
+
+
+def test_hoeffding_sums_exact_past_int64():
+    # at n = 12,000 the D2 sum exceeds int64; c comes from an O(n log n)
+    # count, so the test never builds the n x n comparison matrix
+    n = 12_000
+    rng = generator(95, 0, 0)
+    vx = rng.permutation(n) + 1
+    vy = rng.permutation(n) + 1
+    xs, ys, cs = vx.tolist(), vy.tolist(), [0] * n
+    tree = [0] * (n + 1)  # Fenwick tree over y-ranks, filled in x order
+    for i in np.argsort(vx).tolist():
+        k = ys[i] - 1
+        while k > 0:
+            cs[i] += tree[k]
+            k -= k & -k
+        y = ys[i]
+        while y <= n:
+            tree[y] += 1
+            y += y & -y
+    d1 = sum(ci * (ci - 1) for ci in cs)
+    d2 = sum((x - 1) * (x - 2) * (y - 1) * (y - 2) for x, y in zip(xs, ys))
+    d3 = sum((x - 2) * (y - 2) * ci for x, y, ci in zip(xs, ys, cs))
+    assert d2 > 2**63
+    want = (n - 2) * (n - 3) * d1 + d2 - 2 * (n - 2) * d3
+    assert _hoeffding_num(vx, vy, np.array(cs, dtype=np.int64)) == want
 
 
 def test_all_pairs_sample_size_guards():

@@ -74,7 +74,9 @@ def test_shape_and_finiteness_validation():
 
 
 def test_rank_matrix_rejects_non_permutation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="column 1 is not a permutation"):
         RankMatrix(np.array([[1, 1], [2, 3]]))
+    with pytest.raises(ValueError, match="column 0 is not a permutation"):
+        RankMatrix(np.array([[1, 1], [1, 3], [3, 2]]))
     rm = RankMatrix(np.array([[1, 2], [2, 1]]))
     assert rm.n == 2 and rm.m == 2
