@@ -31,15 +31,12 @@ from .calibrate import (
     NullTable,
     TestResult,
     gumbel_max_pvalue,
-    load_null_table,
-    load_or_create_null_table,
     montecarlo_null,
     montecarlo_nulls,
     normal_pvalue,
     permutation_ranks,
     run_test,
     run_tests,
-    save_null_table,
 )
 from .errors import (
     ConfigError,

@@ -96,6 +96,14 @@ def min_sample_size(statistic: StatisticId) -> int:
     return 2
 
 
+def check_sample_size(statistics, n: int) -> None:
+    """Raise SampleTooSmall unless n meets every statistic's min_sample_size."""
+    for statistic in statistics:
+        need = min_sample_size(statistic)
+        if n < need:
+            raise SampleTooSmall(f"{statistic.name} needs n >= {need}, got {n}")
+
+
 # ------------------------------------------------------------- raw statistics
 
 def _check_pairs(pairs: PairStatistics, kind: str, what: str) -> None:
@@ -106,36 +114,32 @@ def _check_pairs(pairs: PairStatistics, kind: str, what: str) -> None:
         raise ValueError(f"{what}: expected {npairs} pair values")
 
 
-def s_stat(pairs: PairStatistics, n: int, m: int) -> float:
+def s_stat(pairs: PairStatistics) -> float:
     """Sum of squared U-statistics minus its exact null mean."""
     _check_pairs(pairs, "U", "s_stat")
-    if (pairs.n, pairs.m) != (n, m):
-        raise ValueError(f"pairs are for (n={pairs.n}, m={pairs.m}), not ({n}, {m})")
-    k = DEGREE[pairs.kernel]
-    if n < 2 * k:
-        raise SampleTooSmall(f"s_stat({pairs.kernel.key}) needs n >= {2 * k}, got {n}")
-    center = math.comb(m, 2) * mu_h_exact(pairs.kernel, n)
-    return math.fsum(float(v) * float(v) for v in pairs.values) - float(center)
+    check_sample_size([StatisticId(StatKind.S, pairs.kernel)], pairs.n)
+    center = math.comb(pairs.m, 2) * mu_h_exact(pairs.kernel, pairs.n)
+    v = pairs.values
+    return math.fsum((v * v).tolist()) - float(center)
 
 
 def t_stat(pairs: PairStatistics) -> float:
     """Sum of W-statistics over all pairs."""
     _check_pairs(pairs, "W", "t_stat")
-    return math.fsum(float(v) for v in pairs.values)
+    return math.fsum(pairs.values.tolist())
 
 
 def z_stat(pairs: PairStatistics) -> float:
     """Plain sum of U-statistics (sensitive to positive association only)."""
     _check_pairs(pairs, "U", "z_stat")
-    return math.fsum(float(v) for v in pairs.values)
+    return math.fsum(pairs.values.tolist())
 
 
-def s_rho_s(ranks: RankMatrix, threads: int = 1) -> float:
+def s_rho_s(ranks: RankMatrix) -> float:
     """Centered sum of squared Spearman correlations."""
-    n, m = ranks.n, ranks.m
-    vals = all_pairs_spearman(ranks, threads)
-    center = Fraction(math.comb(m, 2), n - 1)
-    return math.fsum(float(v) * float(v) for v in vals) - float(center)
+    v = all_pairs_spearman(ranks)
+    center = Fraction(math.comb(ranks.m, 2), ranks.n - 1)
+    return math.fsum((v * v).tolist()) - float(center)
 
 
 def s_max_tau(pairs: PairStatistics) -> float:
@@ -159,7 +163,7 @@ def pair_requirement(statistic: StatisticId) -> tuple[KernelId, str] | None:
 
 def raw_from_pairs(statistic: StatisticId, pairs: PairStatistics) -> float:
     if statistic.kind is StatKind.S:
-        return s_stat(pairs, pairs.n, pairs.m)
+        return s_stat(pairs)
     if statistic.kind is StatKind.T:
         return t_stat(pairs)
     if statistic.kind is StatKind.Z:
@@ -177,18 +181,14 @@ def raw_statistics(ranks: RankMatrix, statistics, threads: int = 1) -> list[floa
     single tau-engine pass.  Values equal raw_statistic's one by one.
     """
     stats = list(statistics)
-    n = ranks.n
-    for statistic in stats:
-        need = min_sample_size(statistic)
-        if n < need:
-            raise SampleTooSmall(f"{statistic.name} needs n >= {need}, got {n}")
+    check_sample_size(stats, ranks.n)
     reqs = {pair_requirement(s) for s in stats} - {None}
     pairs = tau_family_pairs(ranks, reqs & TAU_FAMILY)
     pairs.update((req, all_pairs(ranks, *req, threads=threads)) for req in reqs - TAU_FAMILY)
     raws = []
     for statistic in stats:
         req = pair_requirement(statistic)
-        raws.append(s_rho_s(ranks, threads) if req is None else raw_from_pairs(statistic, pairs[req]))
+        raws.append(s_rho_s(ranks) if req is None else raw_from_pairs(statistic, pairs[req]))
     return raws
 
 

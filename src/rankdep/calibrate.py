@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -25,10 +24,9 @@ from .aggregate import (
     min_sample_size,
     raw_statistics,
     rescale,
-    statistic_from_name,
 )
 from .errors import ConfigError, DomainError
-from .pairwise import _row_blocks, _run_blocks
+from .pairwise import _run_blocks
 from .ranks import RankMatrix
 
 
@@ -125,10 +123,10 @@ def montecarlo_nulls(
     vals = np.empty((len(stats), reps), dtype=np.float64)
 
     def work(block):
-        for r in range(block[0], block[1]):
+        for r in block:
             vals[:, r] = raw_statistics(permutation_ranks(n, m, seed, r), stats)
 
-    _run_blocks(work, _row_blocks(reps, threads), threads)
+    _run_blocks(work, reps, threads)
     vals.sort(axis=1)
     return [
         NullTable(statistic=statistic, n=n, m=m, reps=reps, seed=seed, values=values)
@@ -146,75 +144,6 @@ def montecarlo_null(
 ) -> NullTable:
     """Evaluate the raw statistic on `reps` keyed permutation datasets."""
     return montecarlo_nulls([statistic], n, m, reps, seed, threads)[0]
-
-
-def cache_name(statistic: StatisticId, n: int, m: int, reps: int, seed: int, fmt: str = "csv") -> str:
-    return f"null_{statistic.name}_n{n}_m{m}_r{reps}_s{seed}.{fmt}"
-
-
-def save_null_table(table: NullTable, path) -> None:
-    p = Path(path)
-    if p.suffix == ".npz":
-        np.savez(
-            p,
-            values=table.values,
-            meta=np.array(
-                [table.statistic.name, str(table.n), str(table.m), str(table.reps), str(table.seed)]
-            ),
-        )
-        return
-    with open(p, "w") as f:
-        f.write("statistic,n,m,reps,seed\n")
-        f.write(f"{table.statistic.name},{table.n},{table.m},{table.reps},{table.seed}\n")
-        f.write("value\n")
-        for v in table.values:
-            f.write(repr(float(v)) + "\n")
-
-
-def load_null_table(path) -> NullTable:
-    p = Path(path)
-    if p.suffix == ".npz":
-        with np.load(p, allow_pickle=False) as z:
-            meta = [str(x) for x in z["meta"]]
-            values = np.asarray(z["values"], dtype=np.float64)
-        name, n, m, reps, seed = meta
-    else:
-        lines = p.read_text().splitlines()
-        if len(lines) < 3 or lines[0] != "statistic,n,m,reps,seed" or lines[2] != "value":
-            raise ConfigError(f"not a null table file: {p}")
-        name, n, m, reps, seed = lines[1].split(",")
-        values = np.array([float(x) for x in lines[3:]], dtype=np.float64)
-    table = NullTable(
-        statistic=statistic_from_name(name),
-        n=int(n),
-        m=int(m),
-        reps=int(reps),
-        seed=int(seed),
-        values=values,
-    )
-    if values.size != table.reps:
-        raise ConfigError(f"null table {p} holds {values.size} values, expected {table.reps}")
-    return table
-
-
-def load_or_create_null_table(
-    cache_dir,
-    statistic: StatisticId,
-    n: int,
-    m: int,
-    reps: int,
-    seed: int,
-    threads: int = 1,
-    fmt: str = "csv",
-) -> NullTable:
-    d = Path(cache_dir)
-    d.mkdir(parents=True, exist_ok=True)
-    p = d / cache_name(statistic, n, m, reps, seed, fmt)
-    if p.exists():
-        return load_null_table(p)
-    table = montecarlo_null(statistic, n, m, reps, seed, threads)
-    save_null_table(table, p)
-    return table
 
 
 # ------------------------------------------------------------------ test run
@@ -259,8 +188,8 @@ def run_tests(
 
     The raw values come from one raw_statistics call and, for Monte Carlo,
     the null tables from one montecarlo_nulls pass (unless `null_tables`
-    gives one table per statistic).  Result i equals run_test for
-    statistics[i].
+    gives one table per statistic, drawn with the method's reps and seed).
+    Result i equals run_test for statistics[i].
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
@@ -277,8 +206,8 @@ def run_tests(
             tables = montecarlo_nulls(stats, n, m, method.reps, method.seed, threads)
         else:
             tables = list(null_tables)
-            keys = [(t.statistic, t.n, t.m) for t in tables]
-            if keys != [(statistic, n, m) for statistic in stats]:
+            keys = [(t.statistic, t.n, t.m, t.reps, t.seed) for t in tables]
+            if keys != [(statistic, n, m, method.reps, method.seed) for statistic in stats]:
                 raise ConfigError("provided null table does not match this test")
     results = []
     for statistic, raw, sc, table in zip(stats, raws, scaled, tables):

@@ -2,9 +2,11 @@
 
 mu_exact(kernel, n) enumerates E[U^2] over all n! orderings of one column
 (the other can be held at identity by exchangeability of the full
-U-statistic) in exact integer arithmetic.  solve_zetas recovers the
-covariance ladder zeta_1..zeta_k from mu at n = k..2k-1 via the hypergeometric
-variance expansion
+U-statistic) in exact integer arithmetic.  The orderings are materialised
+as one array (n <= 10), and each k-subset's pattern code is computed for a
+block of them at once.  solve_zetas recovers the covariance ladder
+zeta_1..zeta_k from mu at n = k..2k-1 via the hypergeometric variance
+expansion
 
     mu(n) * C(n,k) = sum_c C(k,c) * C(n-k,k-c) * zeta_c,
 
@@ -21,9 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .kernels import DEGREE, SCALE, KernelId, perm_code, scaled_table
-
-_FACT = [math.factorial(i) for i in range(13)]
+from .kernels import _FACT, DEGREE, SCALE, KernelId, scaled_table
 
 
 def all_perms(n: int) -> np.ndarray:
@@ -35,25 +35,16 @@ def all_perms(n: int) -> np.ndarray:
     return flat.reshape(_FACT[n], n)
 
 
-def _mu_exact_py(kernel: KernelId, n: int) -> Fraction:
+def mu_exact(kernel: KernelId, n: int) -> Fraction:
+    """Exact E[U^2] at sample size n by full permutation enumeration."""
     k = DEGREE[kernel]
-    tvec = scaled_table(kernel)
-    subsets = list(itertools.combinations(range(n), k))
-    tot = 0
-    for w in itertools.permutations(range(1, n + 1)):
-        u = 0
-        for s in subsets:
-            u += tvec[perm_code([w[i] for i in s])]
-        tot += u * u
-    return Fraction(int(tot), _FACT[n] * math.comb(n, k) ** 2 * SCALE[kernel] ** 2)
-
-
-def _mu_exact_np(kernel: KernelId, n: int, chunk: int = 400_000) -> Fraction:
-    k = DEGREE[kernel]
+    if n < k:
+        raise ValueError(f"need n >= {k}")
     tvec = scaled_table(kernel)
     perms = all_perms(n)
     weights = [_FACT[k - 1 - i] for i in range(k)]
     subsets = list(itertools.combinations(range(n), k))
+    chunk = 400_000  # permutations per block, bounding the int64 work arrays
     tot = 0
     for lo in range(0, perms.shape[0], chunk):
         block = perms[lo : lo + chunk]
@@ -69,17 +60,6 @@ def _mu_exact_np(kernel: KernelId, n: int, chunk: int = 400_000) -> Fraction:
             u += tvec[code]
         tot += int(np.dot(u, u))
     return Fraction(tot, _FACT[n] * math.comb(n, k) ** 2 * SCALE[kernel] ** 2)
-
-
-def mu_exact(kernel: KernelId, n: int) -> Fraction:
-    """Exact E[U^2] at sample size n by full permutation enumeration."""
-    k = DEGREE[kernel]
-    if n < k:
-        raise ValueError(f"need n >= {k}")
-    # pure python wins for tiny n; the vectorized path handles n up to ~10
-    if _FACT[n] <= 5040:
-        return _mu_exact_py(kernel, n)
-    return _mu_exact_np(kernel, n)
 
 
 def solve_zetas(kernel: KernelId, mus: dict[int, Fraction] | None = None) -> dict[int, Fraction]:

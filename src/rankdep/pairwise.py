@@ -38,10 +38,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import LengthMismatch, SampleTooSmall
-from .kernels import DEGREE, SCALE, KernelId, pattern, scaled_table
+from .kernels import _FACT, DEGREE, SCALE, KernelId, pattern, scaled_table
 from .ranks import RankMatrix
-
-_FACT = [math.factorial(i) for i in range(13)]
 
 
 # ---------------------------------------------------------------- validation
@@ -357,18 +355,16 @@ class PairStatistics:
         return float(self.values[idx])
 
 
-def _row_blocks(total: int, threads: int) -> list[tuple[int, int]]:
+def _run_blocks(fn, total: int, threads: int) -> None:
+    """Call fn on up to `threads` contiguous sub-ranges covering range(total)."""
     nb = min(max(threads, 1), total)
     bounds = np.linspace(0, total, nb + 1).astype(int)
-    return [(int(bounds[i]), int(bounds[i + 1])) for i in range(nb) if bounds[i] < bounds[i + 1]]
-
-
-def _run_blocks(fn, blocks, threads: int) -> None:
-    if threads <= 1 or len(blocks) <= 1:
+    blocks = [range(bounds[i], bounds[i + 1]) for i in range(nb) if bounds[i] < bounds[i + 1]]
+    if len(blocks) <= 1:
         for b in blocks:
             fn(b)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
+        with ThreadPoolExecutor(max_workers=len(blocks)) as ex:
             list(ex.map(fn, blocks))
 
 
@@ -458,12 +454,11 @@ def _check_requirement(n: int, m: int, kernel: KernelId, kind: str) -> None:
         raise SampleTooSmall(f"{kind}({kernel.key}) needs n >= {min_n}, got {n}")
 
 
-def all_pairs_spearman(ranks: RankMatrix, threads: int = 1) -> np.ndarray:
+def all_pairs_spearman(ranks: RankMatrix) -> np.ndarray:
     """Spearman rho for all column pairs, lexicographic order.
 
     One integer ratio (12 sum RS - 3n(n+1)^2) / (n(n^2-1)) per pair, exact in
-    float64 for n up to about 10^5.  The rank Gram is a single GEMM, which
-    BLAS threads itself; ``threads`` does not split it.
+    float64 for n up to about 10^5.  The rank Gram is a single GEMM.
     """
     n, m = ranks.n, ranks.m
     if n < 2:
@@ -478,12 +473,12 @@ def _pairwise_loop(ranks: np.ndarray, fn, threads: int) -> np.ndarray:
     pairs = [(p, q) for p in range(m) for q in range(p + 1, m)]
     vals = np.empty(len(pairs), dtype=np.float64)
 
-    def work(b):
-        for idx in range(b[0], b[1]):
+    def work(block):
+        for idx in block:
             p, q = pairs[idx]
             vals[idx] = fn(ranks[:, p], ranks[:, q])
 
-    _run_blocks(work, _row_blocks(len(pairs), threads), threads)
+    _run_blocks(work, len(pairs), threads)
     return vals
 
 

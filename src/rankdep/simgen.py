@@ -28,10 +28,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import _rng
-from .aggregate import StatisticId, statistic_from_name
+from .aggregate import StatisticId, check_sample_size, statistic_from_name
 from .calibrate import ASYMPTOTIC, Method, MonteCarlo, montecarlo_nulls, normal_pvalue, run_tests
 from .errors import ConfigError, InfeasibleSignal, NotPositiveDefinite
-from .pairwise import _row_blocks, _run_blocks
+from .pairwise import _run_blocks
 from .ranks import JitterWithSeed, compute_ranks
 
 SCATTER_KINDS = ("identity", "equicorrelation", "pentadiagonal")
@@ -177,8 +177,8 @@ def _pearson_sum(data: np.ndarray) -> float:
     n, m = data.shape
     corr = np.corrcoef(data, rowvar=False)
     iu = np.triu_indices(m, 1)
-    vals = corr[iu]
-    return math.fsum(float(v) * float(v) for v in vals) - math.comb(m, 2) / (n - 1)
+    v = corr[iu]
+    return math.fsum((v * v).tolist()) - math.comb(m, 2) / (n - 1)
 
 
 def run_experiment(
@@ -209,6 +209,7 @@ def run_experiment(
 
     n, m = scenario.n, scenario.m
     rank_stats = [sid for sid in sids if sid != PEARSON]
+    check_sample_size(rank_stats, n)
     tables = None
     if isinstance(method, MonteCarlo):
         if PEARSON in sids:
@@ -228,10 +229,10 @@ def run_experiment(
                 pvals[i, r] = next(results).p_value
 
     def work(block):
-        for r in range(block[0], block[1]):
+        for r in block:
             one_rep(r)
 
-    _run_blocks(work, _row_blocks(reps, threads), threads)
+    _run_blocks(work, reps, threads)
 
     method_name = "montecarlo" if isinstance(method, MonteCarlo) else "asymptotic"
     rows = []

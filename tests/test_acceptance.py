@@ -40,17 +40,13 @@ from rankdep._rng import generator
 from rankdep.cli import main as cli_main
 from rankdep.exact import mu_from_zetas, solve_zetas
 from rankdep.kernels import DEGREE, mu_h_exact
+from rankdep.pairwise import _FAST_U
 
 S_TAU = statistic_from_name("s_tau")
 T_TAU = statistic_from_name("t_tau")
 S_RHO_S = statistic_from_name("s_rho_s")
 
-FAST = {
-    KernelId.TAU: kendall_tau_fast,
-    KernelId.RHO_HAT: rho_hat,
-    KernelId.T_STAR: tstar,
-    KernelId.HOEFF_D: hoeffding_d,
-}
+FAST = _FAST_U
 
 
 def _verdict(num, ok, detail):

@@ -11,15 +11,12 @@ from rankdep import (
     NullTable,
     RankMatrix,
     gumbel_max_pvalue,
-    load_null_table,
-    load_or_create_null_table,
     montecarlo_null,
     montecarlo_nulls,
     normal_pvalue,
     permutation_ranks,
     run_test,
     run_tests,
-    save_null_table,
     statistic_from_name,
 )
 
@@ -113,39 +110,6 @@ def test_quantile_indexing():
         t.quantile(1.5)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "npz"])
-def test_null_table_roundtrip(tmp_path, fmt):
-    table = montecarlo_null(S_TAU, n=12, m=3, reps=25, seed=9)
-    path = tmp_path / f"table.{fmt}"
-    save_null_table(table, path)
-    back = load_null_table(path)
-    assert back.statistic == table.statistic
-    assert (back.n, back.m, back.reps, back.seed) == (12, 3, 25, 9)
-    assert np.array_equal(back.values, table.values)
-
-
-def test_load_rejects_malformed(tmp_path):
-    p = tmp_path / "junk.csv"
-    p.write_text("hello\nworld\n")
-    with pytest.raises(ConfigError):
-        load_null_table(p)
-
-
-def test_load_or_create_uses_cache(tmp_path):
-    t = load_or_create_null_table(tmp_path, S_TAU, n=12, m=3, reps=10, seed=1)
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    # tamper with the cached file; a second call must read it, not recompute
-    doctored = NullTable(
-        statistic=S_TAU, n=12, m=3, reps=10, seed=1,
-        values=np.full(10, 123.5),
-    )
-    save_null_table(doctored, files[0])
-    again = load_or_create_null_table(tmp_path, S_TAU, n=12, m=3, reps=10, seed=1)
-    assert np.array_equal(again.values, doctored.values)
-    assert t.values[0] != 123.5
-
-
 def _dependent_ranks(n, m):
     col = np.arange(1, n + 1)
     return RankMatrix(np.column_stack([col] * m))
@@ -184,9 +148,18 @@ def test_run_test_rejects_bad_alpha_and_table():
         run_test(rm, S_TAU, alpha=0.0)
     with pytest.raises(ConfigError):
         run_test(rm, S_TAU, alpha=1.0)
-    wrong = montecarlo_null(S_TAU, n=12, m=4, reps=10, seed=0)
-    with pytest.raises(ConfigError):
-        run_test(rm, S_TAU, method=MonteCarlo(10, 0), null_table=wrong)
+    # a table must match the test's statistic, n, m and the method's reps and seed
+    for wrong in (
+        montecarlo_null(S_TAU, n=12, m=4, reps=10, seed=0),
+        montecarlo_null(S_TAU, n=16, m=4, reps=10, seed=5),
+        montecarlo_null(S_TAU, n=16, m=4, reps=40, seed=0),
+    ):
+        with pytest.raises(ConfigError):
+            run_test(rm, S_TAU, method=MonteCarlo(10, 0), null_table=wrong)
+    right = montecarlo_null(S_TAU, n=16, m=4, reps=10, seed=0)
+    assert run_test(rm, S_TAU, method=MonteCarlo(10, 0), null_table=right) == run_test(
+        rm, S_TAU, method=MonteCarlo(10, 0)
+    )
 
 
 def test_result_dict_shape():

@@ -152,6 +152,14 @@ def test_simulate_infeasible_exit_3(capsys):
     capsys.readouterr()
 
 
+def test_simulate_sample_too_small_exit_2(capsys):
+    # s_tau needs n >= 4; both calibrations report it as a data problem
+    base = ["simulate", "--family", "mvn", "-n", "3", "-m", "4", "--reps", "2", "--stats", "s_tau"]
+    assert main(base + ["--method", "asymptotic"]) == 2
+    assert main(base + ["--method", "montecarlo", "--mc-reps", "5"]) == 2
+    assert "needs n >= 4" in capsys.readouterr().err
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
