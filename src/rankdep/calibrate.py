@@ -21,7 +21,7 @@ import numpy as np
 from . import _rng
 from .aggregate import (
     StatisticId,
-    min_sample_size,
+    check_sample_size,
     raw_statistics,
     rescale,
 )
@@ -116,10 +116,7 @@ def montecarlo_nulls(
         raise ConfigError(f"reps must be positive, got {reps}")
     if m < 2:
         raise ConfigError(f"need m >= 2 columns, got {m}")
-    for statistic in stats:
-        need = min_sample_size(statistic)
-        if n < need:
-            raise ConfigError(f"{statistic.name} needs n >= {need}, got {n}")
+    check_sample_size(stats, n)
     vals = np.empty((len(stats), reps), dtype=np.float64)
 
     def work(block):

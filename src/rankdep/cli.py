@@ -40,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def read_csv_matrix(path: str) -> np.ndarray:
-    """Parse a CSV of samples-by-variables; first row may be a header."""
+    """Parse a CSV of samples-by-variables; a first row with a non-float cell is a header."""
     try:
         with open(path, newline="") as f:
             rows = list(csv.reader(f))
@@ -49,32 +49,29 @@ def read_csv_matrix(path: str) -> np.ndarray:
     rows = [r for r in rows if r and not all(c.strip() == "" for c in r)]
     if not rows:
         raise ParseError(f"{path} is empty")
+    width = len(rows[0])
 
-    def parse_row(cells, rownum):
+    def parse_row(i):
+        if len(rows[i]) != width:
+            raise ParseError(f"expected {width} columns, found {len(rows[i])}", row=i + 1)
         out = []
-        for j, cell in enumerate(cells):
+        for j, cell in enumerate(rows[i]):
             try:
                 v = float(cell)
             except ValueError:
-                raise ParseError(f"non-numeric value {cell!r}", row=rownum, column=j + 1) from None
+                raise ParseError(f"non-numeric value {cell!r}", row=i + 1, column=j + 1) from None
             if not math.isfinite(v):
-                raise ParseError(f"non-finite value {cell!r}", row=rownum, column=j + 1)
+                raise ParseError(f"non-finite value {cell!r}", row=i + 1, column=j + 1)
             out.append(v)
         return out
 
-    start = 0
     try:
-        first = parse_row(rows[0], 1)
-    except ParseError:
+        [float(c) for c in rows[0]]
+        start = 0
+    except ValueError:
         start = 1  # header row
-    data = []
-    width = None
-    for i in range(start, len(rows)):
-        if width is not None and len(rows[i]) != width:
-            raise ParseError(f"expected {width} columns, found {len(rows[i])}", row=i + 1)
-        width = len(rows[i])
-        data.append(parse_row(rows[i], i + 1) if (i != 0 or start == 1) else first)
-    if len(data) < 2 or width is None or width < 2:
+    data = [parse_row(i) for i in range(start, len(rows))]
+    if len(data) < 2 or width < 2:
         raise ParseError(f"{path}: need at least 2 data rows and 2 columns")
     return np.array(data, dtype=np.float64)
 

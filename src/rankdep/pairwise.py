@@ -21,24 +21,30 @@ per pair.
 
 U-statistics average the kernel over k-subsets; W-statistics average
 h(S1) * h(S2) over ordered pairs of disjoint k-subsets and are exactly
-unbiased for the squared signal.  The generic W engine runs in O(n^k) time
-and O(n^(k-1)) memory via inclusion-exclusion over shared indices, which is
-practical up to n of a few hundred for degree 3 and 4 and roughly n <= 60
-for degree 5.
+unbiased for the squared signal.  _w_engine computes each scalar W, and the
+all-pairs W of every kernel but tau, from C(n,k) C(n-k,k) SCALE^2 W =
+sum_A (-1)^|A| H_A^2, where H_A sums the scaled kernel over the k-subsets
+containing the index set A.  One pass fills every H_A with |A| <= k-1 and
+sum h^2 in O(n^k) time and O(n^(k-1)) memory.  Its int64 sums are exact for
+n <= 2,097,152 (tau), 8,193 (rho_hat), 702 (t*) and 224 (Hoeffding's D),
+and it raises ValueError above that; time and memory bound it well below
+for degrees 4 and 5 (per pair: t* 0.4 s at n = 96, D 0.2 s at n = 24).
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import LengthMismatch, SampleTooSmall
-from .kernels import _FACT, DEGREE, SCALE, KernelId, pattern, scaled_table
+from .kernels import _FACT, DEGREE, SCALE, KernelId, pattern, perm_code, scaled_table
 from .ranks import RankMatrix
 
 
@@ -211,19 +217,18 @@ _FAST_U = {
 
 # ------------------------------------------------------------- naive oracles
 
+def _h_naive(tvec: np.ndarray, vx: np.ndarray, vy: np.ndarray, idx) -> int:
+    """Scaled kernel on the points idx: their y-pattern in x-order, looked up."""
+    order = sorted(idx, key=lambda i: vx[i])
+    return int(tvec[perm_code(pattern([vy[i] for i in order]))])
+
+
 def u_stat_naive(kernel: KernelId, rx, ry) -> float:
     """U-statistic by direct enumeration of all k-subsets (oracle)."""
     k = DEGREE[kernel]
     vx, vy, n = _check_pair(rx, ry, k, "u_stat_naive")
     tvec = scaled_table(kernel)
-    from .kernels import perm_code
-
-    tot = 0
-    for idx in itertools.combinations(range(n), k):
-        sx = [vx[i] for i in idx]
-        sy = [vy[i] for i in idx]
-        order = sorted(range(k), key=lambda c: sx[c])
-        tot += int(tvec[perm_code(pattern([sy[c] for c in order]))])
+    tot = sum(_h_naive(tvec, vx, vy, idx) for idx in itertools.combinations(range(n), k))
     return float(Fraction(tot, math.comb(n, k) * SCALE[kernel]))
 
 
@@ -232,107 +237,80 @@ def w_stat_naive(kernel: KernelId, rx, ry) -> float:
     k = DEGREE[kernel]
     vx, vy, n = _check_pair(rx, ry, 2 * k, "w_stat_naive")
     tvec = scaled_table(kernel)
-    from .kernels import perm_code
-
-    def hval(idx):
-        sx = [vx[i] for i in idx]
-        sy = [vy[i] for i in idx]
-        order = sorted(range(k), key=lambda c: sx[c])
-        return int(tvec[perm_code(pattern([sy[c] for c in order]))])
-
     tot = 0
     for u in itertools.combinations(range(n), 2 * k):
         for j in itertools.combinations(u, k):
             comp = tuple(x for x in u if x not in j)
-            tot += hval(j) * hval(comp)
+            tot += _h_naive(tvec, vx, vy, j) * _h_naive(tvec, vx, vy, comp)
     den = math.comb(n, 2 * k) * math.comb(2 * k, k) * SCALE[kernel] ** 2
     return float(Fraction(tot, den))
 
 
 # ------------------------------------------------------------ W fast engine
 
-def _w_tau_closed(vx: np.ndarray, vy: np.ndarray, n: int) -> float:
-    # numerator T^2 - sum r_i^2 + C(n,2) over the signed concordance matrix
-    h = np.sign(vx[:, None] - vx[None, :]) * np.sign(vy[:, None] - vy[None, :])
-    t = int(h.sum()) // 2
-    r = h.sum(axis=1, dtype=np.int64)
-    num = t * t - int(np.dot(r, r)) + math.comb(n, 2)
-    return float(Fraction(num, math.comb(n, 2) * math.comb(n - 2, 2)))
+@lru_cache(maxsize=None)
+def _w_ceiling(kernel: KernelId) -> int:
+    """Largest n at which _w_engine's level sums of squares fit in int64:
+    level a has C(n,a) entries, each at most max|h| C(n-a,k-a) in size."""
+    k = DEGREE[kernel]
+    hmax = int(np.abs(scaled_table(kernel)).max())
+
+    def too_big(n):
+        return any(math.comb(n, a) * (hmax * math.comb(n - a, k - a)) ** 2 >= 2**63 for a in range(1, k))
+
+    # every kernel fits at n = 2k and overflows below n = 2^22
+    return 2 * k - 1 + bisect.bisect_left(range(2 * k, 1 << 22), True, key=too_big)
 
 
 def _w_engine(kernel: KernelId, vx: np.ndarray, vy: np.ndarray, n: int) -> float:
-    """Generic O(n^k) W-statistic via inclusion-exclusion level sums."""
+    """W-statistic by inclusion-exclusion (module docstring) in one pass: the
+    slab h(c + {a, b}) of each (k-2)-prefix c, over the pairs a < b after it in
+    x-rank order, adds into every H_A with |A| <= k-1 and into sum h^2."""
     k = DEGREE[kernel]
+    ceiling = _w_ceiling(kernel)
+    if n > ceiling:
+        raise ValueError(f"W({kernel.key}) is exact for n <= {ceiling}, got {n}")
     tvec = scaled_table(kernel)
-    order = np.argsort(vx)
-    s = vy[order].astype(np.int64)  # y-ranks in x-order
+    s = vy[np.argsort(vx)].astype(np.int64)  # y-ranks in x-order
     f = k - 2
     weights = [_FACT[k - 1 - i] for i in range(f)]
+    levels = {a: np.zeros((n,) * a, dtype=np.int64) for a in range(1, k)}
+    h_all = h_sq = 0  # H_empty and sum h^2, in Python ints
 
-    def build(c: tuple[int, ...]):
-        lo = c[-1] + 1
+    for c in itertools.combinations(range(n - 2), f):
+        lo = c[-1] + 1 if c else 0
         ya = s[lo:]
         fixed = [int(s[i]) for i in c]
+        # Lehmer code of the pattern of (fixed..., ya[a], ya[b])
         const = 0
-        for i in range(f):
-            below = sum(1 for j in range(i + 1, f) if fixed[j] < fixed[i])
-            const += below * weights[i]
         va = np.zeros(ya.size, dtype=np.int64)
         for i in range(f):
+            const += weights[i] * sum(1 for j in range(i + 1, f) if fixed[j] < fixed[i])
             va += weights[i] * (ya < fixed[i])
-        code = const + va[:, None] + va[None, :] + (ya[None, :] < ya[:, None])
-        return np.triu(tvec[code], 1), lo
-
-    def subsets(c):
-        for r in range(f + 1):
-            yield from itertools.combinations(c, r)
-
-    levels = {l: np.zeros((n,) * l, dtype=np.int64) for l in range(1, k)}
-    s0 = 0
-    slabs = [c for c in itertools.combinations(range(n), f) if n - (c[-1] + 1) >= 2]
-
-    for c in slabs:
-        h, lo = build(c)
-        rows = h.sum(axis=1)
-        cols = h.sum(axis=0)
+        h = np.triu(tvec[const + va[:, None] + va[None, :] + (ya[None, :] < ya[:, None])], 1)
         tot = int(h.sum())
-        s0 += tot
+        h_all += tot
+        h_sq += int(np.vdot(h, h))
+        rows = h.sum(axis=1) + h.sum(axis=0)
         grow = slice(lo, n)
-        for csub in subsets(c):
-            f2 = len(csub)
-            if f2 >= 1:
-                levels[f2][csub] += tot
-            levels[f2 + 1][csub + (grow,)] += rows + cols
-            if f2 + 2 <= k - 1:
-                levels[f2 + 2][csub + (grow, grow)] += h
+        for r in range(f + 1):
+            for csub in itertools.combinations(c, r):
+                if r >= 1:
+                    levels[r][csub] += tot
+                levels[r + 1][csub + (grow,)] += rows
+                if r + 2 <= k - 1:
+                    levels[r + 2][csub + (grow, grow)] += h
 
-    num = 0
-    for c in slabs:
-        h, lo = build(c)
-        grow = slice(lo, n)
-        hbar = np.full(h.shape, s0, dtype=np.int64)
-        for csub in subsets(c):
-            f2 = len(csub)
-            if f2 >= 1:
-                hbar += (-1) ** f2 * int(levels[f2][csub])
-            vec = levels[f2 + 1][csub + (grow,)]
-            hbar += (-1) ** (f2 + 1) * (vec[:, None] + vec[None, :])
-            if f2 + 2 <= k - 1:
-                hbar += (-1) ** f2 * levels[f2 + 2][csub + (grow, grow)]
-            elif f2 + 2 == k:
-                hbar += (-1) ** k * h
-        num += int(np.sum(h * hbar, dtype=np.int64))
-
+    num = h_all * h_all + (-1) ** k * h_sq
+    for a, lv in levels.items():
+        num += (-1) ** a * int(np.vdot(lv, lv))
     den = math.comb(n, k) * math.comb(n - k, k) * SCALE[kernel] ** 2
     return float(Fraction(num, den))
 
 
 def w_stat(kernel: KernelId, rx, ry) -> float:
     """Unbiased squared-signal W-statistic for one pair of rank vectors."""
-    k = DEGREE[kernel]
-    vx, vy, n = _check_pair(rx, ry, 2 * k, "w_stat")
-    if kernel is KernelId.TAU:
-        return _w_tau_closed(vx, vy, n)
+    vx, vy, n = _check_pair(rx, ry, 2 * DEGREE[kernel], "w_stat")
     return _w_engine(kernel, vx, vy, n)
 
 

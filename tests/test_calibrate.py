@@ -10,6 +10,7 @@ from rankdep import (
     MonteCarlo,
     NullTable,
     RankMatrix,
+    SampleTooSmall,
     gumbel_max_pvalue,
     montecarlo_null,
     montecarlo_nulls,
@@ -96,7 +97,7 @@ def test_montecarlo_null_validation():
         montecarlo_null(S_TAU, n=16, m=4, reps=0, seed=0)
     with pytest.raises(ConfigError):
         montecarlo_null(S_TAU, n=16, m=1, reps=5, seed=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(SampleTooSmall):
         montecarlo_null(S_TAU, n=3, m=4, reps=5, seed=0)
 
 

@@ -8,6 +8,7 @@ import pytest
 from rankdep import constants
 from rankdep._rng import generator
 from rankdep.cli import main, read_csv_matrix
+from rankdep.errors import ParseError
 
 
 def write_demo_csv(path, n=40, m=4, seed=1, header=False, ties=False):
@@ -31,6 +32,25 @@ def test_read_csv_matrix_header_and_blank_lines(tmp_path):
     mat = read_csv_matrix(str(p))
     assert mat.shape == (2, 2)
     assert mat[1, 1] == 0.25
+
+
+def test_read_csv_matrix_non_finite_first_row_is_data(tmp_path, capsys):
+    # a parseable first row is data even when a value is non-finite, so the
+    # nan is reported rather than the row being dropped as a header
+    p = tmp_path / "d.csv"
+    p.write_text("1,nan\n2,3\n3,1\n4,2\n5,5\n")
+    with pytest.raises(ParseError) as info:
+        read_csv_matrix(str(p))
+    assert info.value.row == 1 and info.value.column == 2
+    assert main(["test", str(p)]) == 2
+
+
+def test_read_csv_matrix_header_width_must_match(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("x,y,z\n1,2\n3,4\n")
+    with pytest.raises(ParseError) as info:
+        read_csv_matrix(str(p))
+    assert "expected 3 columns, found 2" in str(info.value)
 
 
 def test_read_csv_matrix_error_location(tmp_path):

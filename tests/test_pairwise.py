@@ -77,6 +77,38 @@ def test_w_stat_matches_split_enumeration():
             assert close(w_stat(kid, rx, ry), w_stat_naive(kid, rx, ry)), (kid, n)
 
 
+def test_w_stat_pinned_beyond_oracle_sizes():
+    # literal values from a two-pass form of the same inclusion-exclusion
+    # identity, at sizes the split enumeration cannot reach
+    cases = [
+        (KernelId.RHO_HAT, 120, 91, "-0x1.5a9817461cf1dp-8"),
+        (KernelId.T_STAR, 40, 92, "0x1.7247494700f70p-13"),
+        (KernelId.HOEFF_D, 16, 93, "-0x1.ee3dc5ca7b89ap-23"),
+    ]
+    for kid, n, seed, want in cases:
+        rng = generator(seed, 0, 0)
+        rx, ry = perm(rng, n), perm(rng, n)
+        assert w_stat(kid, rx, ry) == float.fromhex(want), kid
+
+
+def test_w_stat_tau_matches_tau_engine():
+    rm = _random_ranks(47, 300, 4)
+    ps = pairwise.tau_family_pairs(rm, [(KernelId.TAU, "W")])[(KernelId.TAU, "W")]
+    for p in range(rm.m):
+        for q in range(p + 1, rm.m):
+            assert w_stat(KernelId.TAU, rm.column(p), rm.column(q)) == ps.value(p, q), (p, q)
+
+
+def test_w_stat_raises_above_int64_ceiling():
+    ceilings = {KernelId.TAU: 2_097_152, KernelId.RHO_HAT: 8_193, KernelId.T_STAR: 702, KernelId.HOEFF_D: 224}
+    assert {kid: pairwise._w_ceiling(kid) for kid in KernelId} == ceilings
+    # the guard runs before the O(n^(k-1)) level arrays are allocated
+    for kid in (KernelId.T_STAR, KernelId.HOEFF_D):
+        n = ceilings[kid] + 1
+        with pytest.raises(ValueError, match=f"n <= {ceilings[kid]}, got {n}"):
+            w_stat(kid, list(range(1, n + 1)), list(range(n, 0, -1)))
+
+
 def test_coordinate_swap_symmetry():
     rng = generator(97, 0, 0)
     for kid in KernelId:
