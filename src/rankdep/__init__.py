@@ -41,6 +41,7 @@ from .calibrate import (
 from .errors import (
     ConfigError,
     DomainError,
+    ExactnessCeiling,
     InfeasibleSignal,
     LengthMismatch,
     NotPositiveDefinite,
@@ -58,6 +59,7 @@ from .pairwise import (
     all_pairs_spearman,
     hoeffding_d,
     kendall_tau_fast,
+    pair_statistics,
     rho_hat,
     spearman_rho,
     tstar,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, SampleTooSmall, UnknownConstant
 from .kernels import DEGREE, KernelId, mu_h_exact
-from .pairwise import TAU_FAMILY, PairStatistics, all_pairs, all_pairs_spearman, tau_family_pairs
+from .pairwise import PairStatistics, all_pairs_spearman, pair_statistics
 from .ranks import RankMatrix
 
 
@@ -176,15 +176,13 @@ def raw_from_pairs(statistic: StatisticId, pairs: PairStatistics) -> float:
 def raw_statistics(ranks: RankMatrix, statistics, threads: int = 1) -> list[float]:
     """Raw (unrescaled) values of several statistics on one rank matrix.
 
-    Statistics are grouped by pair_requirement, so each all_pairs result is
-    computed once, and the tau family (tau U, rho_hat U, tau W) comes from a
-    single tau-engine pass.  Values equal raw_statistic's one by one.
+    Statistics are grouped by pair_requirement, and one pair_statistics call
+    computes each pair result once; ``threads`` splits its per-pair loop.
+    Values equal raw_statistic's one by one.
     """
     stats = list(statistics)
     check_sample_size(stats, ranks.n)
-    reqs = {pair_requirement(s) for s in stats} - {None}
-    pairs = tau_family_pairs(ranks, reqs & TAU_FAMILY)
-    pairs.update((req, all_pairs(ranks, *req, threads=threads)) for req in reqs - TAU_FAMILY)
+    pairs = pair_statistics(ranks, {pair_requirement(s) for s in stats} - {None}, threads)
     raws = []
     for statistic in stats:
         req = pair_requirement(statistic)
@@ -192,9 +190,9 @@ def raw_statistics(ranks: RankMatrix, statistics, threads: int = 1) -> list[floa
     return raws
 
 
-def raw_statistic(ranks: RankMatrix, statistic: StatisticId, threads: int = 1) -> float:
+def raw_statistic(ranks: RankMatrix, statistic: StatisticId) -> float:
     """Compute the raw (unrescaled) aggregate statistic on a rank matrix."""
-    return raw_statistics(ranks, [statistic], threads)[0]
+    return raw_statistics(ranks, [statistic])[0]
 
 
 # ----------------------------------------------------------------- rescaling

@@ -26,7 +26,6 @@ from .aggregate import (
     rescale,
 )
 from .errors import ConfigError, DomainError
-from .pairwise import _run_blocks
 from .ranks import RankMatrix
 
 
@@ -110,6 +109,7 @@ def montecarlo_nulls(
 
     Each permutation dataset is drawn once and all statistics are evaluated
     on it together, so table i equals montecarlo_null(statistics[i], ...).
+    Replicates run in order; ``threads`` splits each one's per-pair loop.
     """
     stats = list(statistics)
     if reps < 1:
@@ -117,14 +117,8 @@ def montecarlo_nulls(
     if m < 2:
         raise ConfigError(f"need m >= 2 columns, got {m}")
     check_sample_size(stats, n)
-    vals = np.empty((len(stats), reps), dtype=np.float64)
-
-    def work(block):
-        for r in block:
-            vals[:, r] = raw_statistics(permutation_ranks(n, m, seed, r), stats)
-
-    _run_blocks(work, reps, threads)
-    vals.sort(axis=1)
+    raws = [raw_statistics(permutation_ranks(n, m, seed, r), stats, threads) for r in range(reps)]
+    vals = np.sort(np.array(raws, dtype=np.float64).T, axis=1)
     return [
         NullTable(statistic=statistic, n=n, m=m, reps=reps, seed=seed, values=values)
         for statistic, values in zip(stats, vals)
@@ -237,9 +231,8 @@ def run_test(
     statistic: StatisticId,
     alpha: float = 0.05,
     method: Method = ASYMPTOTIC,
-    threads: int = 1,
     null_table: NullTable | None = None,
 ) -> TestResult:
     """Full pipeline on a rank matrix: raw value, rescaling, p-value, decision."""
     tables = None if null_table is None else [null_table]
-    return run_tests(ranks, [statistic], alpha, method, threads, tables)[0]
+    return run_tests(ranks, [statistic], alpha, method, null_tables=tables)[0]

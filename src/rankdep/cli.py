@@ -1,13 +1,15 @@
 """Command line interface: test, simulate, selftest.
 
 Exit codes: 0 success, 1 selftest failure, 2 data problem (unparseable file,
-ties under the reject policy, sample too small), 3 configuration problem.
+ties under the reject policy, sample too small, n above an exactness
+ceiling), 3 configuration problem.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -19,6 +21,7 @@ from .aggregate import statistic_from_name
 from .calibrate import ASYMPTOTIC, MonteCarlo, run_tests
 from .errors import (
     ConfigError,
+    ExactnessCeiling,
     LengthMismatch,
     ParseError,
     RankdepError,
@@ -43,34 +46,35 @@ def read_csv_matrix(path: str) -> np.ndarray:
     """Parse a CSV of samples-by-variables; a first row with a non-float cell is a header."""
     try:
         with open(path, newline="") as f:
-            rows = list(csv.reader(f))
+            reader = csv.reader(f)
+            # (line in the file, cells), numbered before blank lines are dropped
+            rows = [(reader.line_num, r) for r in reader if any(c.strip() for c in r)]
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
-    rows = [r for r in rows if r and not all(c.strip() == "" for c in r)]
     if not rows:
         raise ParseError(f"{path} is empty")
-    width = len(rows[0])
+    width = len(rows[0][1])
 
-    def parse_row(i):
-        if len(rows[i]) != width:
-            raise ParseError(f"expected {width} columns, found {len(rows[i])}", row=i + 1)
+    def parse_row(line, cells):
+        if len(cells) != width:
+            raise ParseError(f"expected {width} columns, found {len(cells)}", row=line)
         out = []
-        for j, cell in enumerate(rows[i]):
+        for j, cell in enumerate(cells):
             try:
                 v = float(cell)
             except ValueError:
-                raise ParseError(f"non-numeric value {cell!r}", row=i + 1, column=j + 1) from None
+                raise ParseError(f"non-numeric value {cell!r}", row=line, column=j + 1) from None
             if not math.isfinite(v):
-                raise ParseError(f"non-finite value {cell!r}", row=i + 1, column=j + 1)
+                raise ParseError(f"non-finite value {cell!r}", row=line, column=j + 1)
             out.append(v)
         return out
 
     try:
-        [float(c) for c in rows[0]]
+        [float(c) for c in rows[0][1]]
         start = 0
     except ValueError:
         start = 1  # header row
-    data = [parse_row(i) for i in range(start, len(rows))]
+    data = [parse_row(*row) for row in rows[start:]]
     if len(data) < 2 or width < 2:
         raise ParseError(f"{path}: need at least 2 data rows and 2 columns")
     return np.array(data, dtype=np.float64)
@@ -102,8 +106,6 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def cmd_test(args) -> int:
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     seed = args.seed if args.seed is not None else _default_seed()
     data = read_csv_matrix(args.data)
     try:
@@ -128,33 +130,17 @@ def cmd_test(args) -> int:
     if args.format == "json":
         _write_out(json.dumps(report, indent=2) + "\n", args.out)
     else:
-        import io
-
+        # csv writes a float as its repr and None as an empty cell
         buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["statistic", "raw", "rescaled", "p_value", "reject", "n", "m", "method", "seed"])
-        for r in results:
-            d = r.to_dict()
-            w.writerow(
-                [
-                    d["statistic"],
-                    repr(d["raw"]),
-                    repr(d["rescaled"]),
-                    repr(d["p_value"]),
-                    str(d["reject"]).lower(),
-                    d["n"],
-                    d["m"],
-                    d["method"],
-                    "" if d["seed"] is None else d["seed"],
-                ]
-            )
+        w = csv.DictWriter(buf, list(report["results"][0]), lineterminator="\n")
+        w.writeheader()
+        for d in report["results"]:
+            w.writerow({**d, "reject": str(d["reject"]).lower()})
         _write_out(buf.getvalue(), args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     seed = args.seed if args.seed is not None else _default_seed()
     scenario = SimScenario(
         family=args.family,
@@ -175,8 +161,6 @@ def cmd_simulate(args) -> int:
     rows = run_experiment(
         scenario, stats, reps=args.reps, alpha=args.alpha, method=method, threads=args.threads
     )
-    import io
-
     buf = io.StringIO()
     write_experiment_csv(rows, buf)
     _write_out(buf.getvalue(), args.out)
@@ -234,7 +218,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ParseError, TiesPresent, SampleTooSmall, LengthMismatch) as e:
+    except (ParseError, TiesPresent, SampleTooSmall, LengthMismatch, ExactnessCeiling) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RankdepError as e:

@@ -22,6 +22,10 @@ class SampleTooSmall(RankdepError):
     """Sample size below the minimum required by the requested statistic."""
 
 
+class ExactnessCeiling(RankdepError, ValueError):
+    """Sample size above the largest n at which a pair statistic is exact."""
+
+
 class WrongArity(RankdepError):
     """Kernel evaluated on a tuple whose size is not the kernel degree."""
 

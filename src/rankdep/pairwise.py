@@ -7,17 +7,22 @@ the float type (2^24 for float32 sign products, 2^53 for float64), and the
 naive oracles enumerate subsets with rational arithmetic.  Exactness is what
 makes results bit-identical regardless of thread count.
 
+pair_statistics is the one entry to the all-pairs stage.  It validates the
+requested (kernel, kind) pairs, sends the tau family to one tau_family_pairs
+pass, and runs every other kernel's scalar path once per pair over
+``threads`` contiguous blocks of pairs: the package's only thread pool.
+
 The tau family (Kendall tau U, rho_hat U, tau W) has one engine,
 tau_family_pairs.  All three are exact integer functions of the sign
 products sign(R_ip - R_jp) sign(R_iq - R_jq), and the engine forms them once
 per rank matrix.  It streams float32 sign rows through GEMMs in slabs of at
 most SIGN_BUDGET bytes (a fixed 1 MiB; the W path holds at least one n x m
 row block), so memory no longer grows as m n^2, and a slab never exceeds
-2^24 rows, which keeps its float32 product exact.  Integer ceilings: the tau
-Gram is exact for n <= 2^24, rho_hat and Spearman's rho for n up to about
-10^5, tau W for n <= 13,777 (it squares C(n,2)-sized counts in float64), and
-Hoeffding's D for n <= 55,108.  The other kernels run their scalar path once
-per pair.
+2^24 rows, which keeps its float32 product exact.  TAU_FAMILY derives the
+ceilings that the engine enforces with ExactnessCeiling before any work: tau U
+n <= 2^24, rho_hat U and Spearman's rho 131,071 (12 sum R S in float64), tau W
+13,777 (it squares C(n,2)-sized counts in float64).  Hoeffding's D U is exact
+to 55,108.
 
 U-statistics average the kernel over k-subsets; W-statistics average
 h(S1) * h(S2) over ordered pairs of disjoint k-subsets and are exactly
@@ -27,7 +32,7 @@ sum_A (-1)^|A| H_A^2, where H_A sums the scaled kernel over the k-subsets
 containing the index set A.  One pass fills every H_A with |A| <= k-1 and
 sum h^2 in O(n^k) time and O(n^(k-1)) memory.  Its int64 sums are exact for
 n <= 2,097,152 (tau), 8,193 (rho_hat), 702 (t*) and 224 (Hoeffding's D),
-and it raises ValueError above that; time and memory bound it well below
+and it raises ExactnessCeiling above that; time and memory bound it well below
 for degrees 4 and 5 (per pair: t* 0.4 s at n = 96, D 0.2 s at n = 24).
 """
 
@@ -39,11 +44,11 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import LengthMismatch, SampleTooSmall
+from .errors import ConfigError, ExactnessCeiling, LengthMismatch, SampleTooSmall
 from .kernels import _FACT, DEGREE, SCALE, KernelId, pattern, perm_code, scaled_table
 from .ranks import RankMatrix
 
@@ -71,6 +76,11 @@ def _check_pair(rx, ry, min_n: int, what: str) -> tuple[np.ndarray, np.ndarray, 
     if n < min_n:
         raise SampleTooSmall(f"{what} needs n >= {min_n}, got {n}")
     return vx, vy, n
+
+
+def _largest_n(fits, lo: int) -> int:
+    """Largest n >= lo with fits(n); fits holds at lo and fails from some n < 2^25 on."""
+    return lo - 1 + bisect.bisect_left(range(lo, 1 << 25), True, key=lambda n: not fits(n))
 
 
 # ------------------------------------------------------------ scalar U paths
@@ -255,11 +265,10 @@ def _w_ceiling(kernel: KernelId) -> int:
     k = DEGREE[kernel]
     hmax = int(np.abs(scaled_table(kernel)).max())
 
-    def too_big(n):
-        return any(math.comb(n, a) * (hmax * math.comb(n - a, k - a)) ** 2 >= 2**63 for a in range(1, k))
+    def fits(n):
+        return all(math.comb(n, a) * (hmax * math.comb(n - a, k - a)) ** 2 < 2**63 for a in range(1, k))
 
-    # every kernel fits at n = 2k and overflows below n = 2^22
-    return 2 * k - 1 + bisect.bisect_left(range(2 * k, 1 << 22), True, key=too_big)
+    return _largest_n(fits, 2 * k)
 
 
 def _w_engine(kernel: KernelId, vx: np.ndarray, vy: np.ndarray, n: int) -> float:
@@ -269,7 +278,7 @@ def _w_engine(kernel: KernelId, vx: np.ndarray, vy: np.ndarray, n: int) -> float
     k = DEGREE[kernel]
     ceiling = _w_ceiling(kernel)
     if n > ceiling:
-        raise ValueError(f"W({kernel.key}) is exact for n <= {ceiling}, got {n}")
+        raise ExactnessCeiling(f"W({kernel.key}) is exact for n <= {ceiling}, got {n}")
     tvec = scaled_table(kernel)
     s = vy[np.argsort(vx)].astype(np.int64)  # y-ranks in x-order
     f = k - 2
@@ -333,19 +342,6 @@ class PairStatistics:
         return float(self.values[idx])
 
 
-def _run_blocks(fn, total: int, threads: int) -> None:
-    """Call fn on up to `threads` contiguous sub-ranges covering range(total)."""
-    nb = min(max(threads, 1), total)
-    bounds = np.linspace(0, total, nb + 1).astype(int)
-    blocks = [range(bounds[i], bounds[i + 1]) for i in range(nb) if bounds[i] < bounds[i + 1]]
-    if len(blocks) <= 1:
-        for b in blocks:
-            fn(b)
-    else:
-        with ThreadPoolExecutor(max_workers=len(blocks)) as ex:
-            list(ex.map(fn, blocks))
-
-
 # The tau engine.  With s_ij^p = sign(R_ip - R_jp), every tau-family pair
 # statistic is an exact integer function of the sign products s^p s^q:
 #   G = n(n-1) tau = sum_{i != j} s_ij^p s_ij^q = 2 sum_{i < j} s_ij^p s_ij^q
@@ -356,9 +352,17 @@ def _run_blocks(fn, total: int, threads: int) -> None:
 # np.sign on mixed signs), and the W path zeroes the j = i entries itself.
 
 SIGN_BUDGET = 1 << 20  # bytes of float32 sign rows the engine holds at once
-_F32_EXACT = 1 << 24  # float32 holds every integer up to 2^24
+_F32_EXACT = 2 ** (np.finfo(np.float32).nmant + 1)  # every integer up to 2^24
+_F64_EXACT = 2 ** (np.finfo(np.float64).nmant + 1)  # every integer up to 2^53
 
-TAU_FAMILY = frozenset({(KernelId.TAU, "U"), (KernelId.RHO_HAT, "U"), (KernelId.TAU, "W")})
+# Largest exact n of each tau-family value: float32 signs and g_i to 2^24; in
+# float64, 12 sum R S <= 2n(n+1)(2n+1) (rho_hat, Spearman) and tau W's T^2 <= C(n,2)^2.
+_RANK_GRAM_CEILING = _largest_n(lambda n: 2 * n * (n + 1) * (2 * n + 1) <= _F64_EXACT, 2)
+TAU_FAMILY = {
+    (KernelId.TAU, "U"): _F32_EXACT,
+    (KernelId.RHO_HAT, "U"): _RANK_GRAM_CEILING,
+    (KernelId.TAU, "W"): _largest_n(lambda n: math.comb(n, 2) ** 2 <= _F64_EXACT, 4),
+}
 
 
 def _slab_rows(m: int) -> int:
@@ -421,65 +425,40 @@ def _upper(mat: np.ndarray, m: int) -> np.ndarray:
     return np.ascontiguousarray(mat[iu])
 
 
-def _check_requirement(n: int, m: int, kernel: KernelId, kind: str) -> None:
-    if kind not in ("U", "W"):
-        raise ValueError(f"kind must be 'U' or 'W', got {kind!r}")
-    if m < 2:
-        raise ValueError("need at least 2 columns")
-    k = DEGREE[kernel]
-    min_n = k if kind == "U" else 2 * k
-    if n < min_n:
-        raise SampleTooSmall(f"{kind}({kernel.key}) needs n >= {min_n}, got {n}")
-
-
 def all_pairs_spearman(ranks: RankMatrix) -> np.ndarray:
     """Spearman rho for all column pairs, lexicographic order.
 
     One integer ratio (12 sum RS - 3n(n+1)^2) / (n(n^2-1)) per pair, exact in
-    float64 for n up to about 10^5.  The rank Gram is a single GEMM.
+    float64 for n <= 131,071.  The rank Gram is a single GEMM.
     """
     n, m = ranks.n, ranks.m
     if n < 2:
         raise SampleTooSmall(f"spearman needs n >= 2, got {n}")
+    if n > _RANK_GRAM_CEILING:
+        raise ExactnessCeiling(f"spearman is exact for n <= {_RANK_GRAM_CEILING}, got {n}")
     g = _rank_gram(ranks.ranks)
     rho = (12.0 * g - 3.0 * n * (n + 1) ** 2) / (n * (n * n - 1))
     return _upper(rho, m)
 
 
-def _pairwise_loop(ranks: np.ndarray, fn, threads: int) -> np.ndarray:
-    n, m = ranks.shape
-    pairs = [(p, q) for p in range(m) for q in range(p + 1, m)]
-    vals = np.empty(len(pairs), dtype=np.float64)
-
-    def work(block):
-        for idx in block:
-            p, q = pairs[idx]
-            vals[idx] = fn(ranks[:, p], ranks[:, q])
-
-    _run_blocks(work, len(pairs), threads)
-    return vals
-
-
 def tau_family_pairs(ranks: RankMatrix, requirements) -> dict[tuple[KernelId, str], PairStatistics]:
     """Tau U, rho_hat U and tau W on every column pair from one tau-engine pass.
 
-    ``requirements`` is a collection of (kernel, kind) pairs from TAU_FAMILY.
-    The sign products are formed once: by the per-row W pass when tau W is
-    requested (it also yields G), otherwise by the upper-triangle U pass.
-    Each value is an exact integer ratio rounded once (ceilings in the module
-    docstring), so the result does not depend on BLAS threading or blocking.
+    ``requirements`` is a collection of (kernel, kind) pairs from TAU_FAMILY,
+    validated by the caller (pair_statistics).  The sign products are formed
+    once: by the per-row W pass when tau W is requested (it also yields G),
+    otherwise by the upper-triangle U pass.  Each value is an exact integer
+    ratio rounded once, so the result does not depend on BLAS threading or
+    blocking; above a requirement's TAU_FAMILY ceiling it raises instead.
     """
     reqs = set(requirements)
     if not reqs:
         return {}
     n, m = ranks.n, ranks.m
-    if n > _F32_EXACT:
-        # float32 ranks, and the g_i sums of n terms of +-1, stay exact below 2^24
-        raise ValueError(f"the tau engine is exact for n <= 2^24, got {n}")
     for kernel, kind in reqs:
-        if (kernel, kind) not in TAU_FAMILY:
-            raise ValueError(f"{kind}({kernel.key}) is not a tau-family statistic")
-        _check_requirement(n, m, kernel, kind)
+        ceiling = TAU_FAMILY[(kernel, kind)]
+        if n > ceiling:
+            raise ExactnessCeiling(f"{kind}({kernel.key}) is exact for n <= {ceiling}, got {n}")
     rf = ranks.ranks.astype(np.float32)
     if (KernelId.TAU, "W") in reqs:
         g, g2 = _tau_rows(rf)
@@ -499,20 +478,53 @@ def tau_family_pairs(ranks: RankMatrix, requirements) -> dict[tuple[KernelId, st
     return out
 
 
-def all_pairs(ranks: RankMatrix, kernel: KernelId, kind: str = "U", threads: int = 1) -> PairStatistics:
-    """Evaluate one pairwise statistic on every column pair.
+def pair_statistics(ranks: RankMatrix, requirements, threads: int = 1) -> dict[tuple, PairStatistics]:
+    """Every requested (kernel, kind) statistic on every column pair.
 
-    The tau family goes through the tau engine (tau_family_pairs); the other
-    kernels run their exact scalar path per pair, split over ``threads``.
-    All paths are exact-integer, so the result does not depend on threads.
+    The one entry to the pair stage.  The tau family comes from one
+    tau_family_pairs pass.  The other kernels run their exact scalar path once
+    per pair, over ``threads`` contiguous blocks of pairs, one block per worker
+    thread; this is the package's only thread pool.  All paths are
+    exact-integer, so the result does not depend on ``threads``.
     """
-    _check_requirement(ranks.n, ranks.m, kernel, kind)
-    if (kernel, kind) in TAU_FAMILY:
-        return tau_family_pairs(ranks, [(kernel, kind)])[(kernel, kind)]
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    reqs = set(requirements)
     n, m = ranks.n, ranks.m
-    if kind == "U":
-        fn = _FAST_U[kernel]
+    for kernel, kind in reqs:
+        if kind not in ("U", "W"):
+            raise ValueError(f"kind must be 'U' or 'W', got {kind!r}")
+        if m < 2:
+            raise ValueError("need at least 2 columns")
+        min_n = DEGREE[kernel] if kind == "U" else 2 * DEGREE[kernel]
+        if n < min_n:
+            raise SampleTooSmall(f"{kind}({kernel.key}) needs n >= {min_n}, got {n}")
+    out = tau_family_pairs(ranks, reqs & TAU_FAMILY.keys())
+    rest = list(reqs - TAU_FAMILY.keys())
+    if not rest:
+        return out
+    fns = [_FAST_U[kernel] if kind == "U" else partial(_w_engine, kernel, n=n) for kernel, kind in rest]
+    cols = ranks.ranks
+    pairs = [(p, q) for p in range(m) for q in range(p + 1, m)]
+    vals = np.empty((len(rest), len(pairs)), dtype=np.float64)
+
+    def work(block):
+        for i in block:
+            p, q = pairs[i]
+            for j, fn in enumerate(fns):
+                vals[j, i] = fn(cols[:, p], cols[:, q])
+
+    workers = min(threads, len(pairs))
+    if workers == 1:  # inline: this runs once per MC replicate, a pool costs more
+        work(range(len(pairs)))
     else:
-        fn = lambda a, b: _w_engine(kernel, a, b, n)  # noqa: E731
-    vals = _pairwise_loop(ranks.ranks, fn, threads)
-    return PairStatistics(kernel=kernel, kind=kind, values=vals, n=n, m=m)
+        bounds = np.linspace(0, len(pairs), workers + 1).astype(int)
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            list(ex.map(work, map(range, bounds[:-1], bounds[1:])))
+    out.update((req, PairStatistics(*req, values=v, n=n, m=m)) for req, v in zip(rest, vals))
+    return out
+
+
+def all_pairs(ranks: RankMatrix, kernel: KernelId, kind: str = "U", threads: int = 1) -> PairStatistics:
+    """Evaluate one pairwise statistic on every column pair (see pair_statistics)."""
+    return pair_statistics(ranks, [(kernel, kind)], threads)[(kernel, kind)]

@@ -31,7 +31,6 @@ from . import _rng
 from .aggregate import StatisticId, check_sample_size, statistic_from_name
 from .calibrate import ASYMPTOTIC, Method, MonteCarlo, montecarlo_nulls, normal_pvalue, run_tests
 from .errors import ConfigError, InfeasibleSignal, NotPositiveDefinite
-from .pairwise import _run_blocks
 from .ranks import JitterWithSeed, compute_ranks
 
 SCATTER_KINDS = ("identity", "equicorrelation", "pentadiagonal")
@@ -189,7 +188,7 @@ def run_experiment(
     method: Method = ASYMPTOTIC,
     threads: int = 1,
 ) -> list[ExperimentRow]:
-    """Rejection rate of each statistic over `reps` scenario replicates."""
+    """Rejection rate of each statistic over `reps` scenario replicates, run in order."""
     if reps < 1:
         raise ConfigError(f"reps must be positive, got {reps}")
     if not 0.0 < alpha < 1.0:
@@ -217,22 +216,15 @@ def run_experiment(
         tables = montecarlo_nulls(rank_stats, n, m, method.reps, method.seed, threads)
 
     pvals = np.empty((len(sids), reps), dtype=np.float64)
-
-    def one_rep(r: int) -> None:
+    for r in range(reps):
         data = gen_dataset(scenario, r)
         ranks = compute_ranks(data, JitterWithSeed(_rng.mix_key(scenario.seed, r, 2)))
-        results = iter(run_tests(ranks, rank_stats, alpha, method, threads=1, null_tables=tables))
+        results = iter(run_tests(ranks, rank_stats, alpha, method, threads, tables))
         for i, sid in enumerate(sids):
             if sid == PEARSON:
                 pvals[i, r] = normal_pvalue(_pearson_sum(data) * n / m)
             else:
                 pvals[i, r] = next(results).p_value
-
-    def work(block):
-        for r in block:
-            one_rep(r)
-
-    _run_blocks(work, reps, threads)
 
     method_name = "montecarlo" if isinstance(method, MonteCarlo) else "asymptotic"
     rows = []

@@ -75,6 +75,25 @@ def test_montecarlo_null_sorted_and_thread_invariant():
     assert t1.reps == 40 and t1.values.shape == (40,)
 
 
+def test_montecarlo_nulls_per_pair_kernels_thread_invariant():
+    # s_d and t_rho_hat run per-pair kernels, the loop that threads splits
+    stats = [statistic_from_name(s) for s in ("s_d", "t_rho_hat")]
+    t1 = montecarlo_nulls(stats, n=12, m=4, reps=10, seed=6, threads=1)
+    t3 = montecarlo_nulls(stats, n=12, m=4, reps=10, seed=6, threads=3)
+    for a, b in zip(t1, t3):
+        assert a.values.tobytes() == b.values.tobytes(), a.statistic.name
+
+
+def test_threads_below_one_rejected():
+    rm = permutation_ranks(16, 4, seed=1, replicate=0)
+    with pytest.raises(ConfigError, match="threads must be >= 1"):
+        montecarlo_null(S_TAU, n=16, m=4, reps=5, seed=0, threads=0)
+    with pytest.raises(ConfigError, match="threads must be >= 1"):
+        run_tests(rm, [S_TAU], threads=0)
+    with pytest.raises(ConfigError, match="threads must be >= 1"):
+        run_tests(rm, [statistic_from_name("s_rho_s")], threads=0)  # no pair requirement
+
+
 def test_joint_nulls_match_separate_tables():
     stats = [statistic_from_name(s) for s in ("s_tau", "s_max_tau", "t_tau")]
     joint = montecarlo_nulls(stats, n=16, m=5, reps=30, seed=7)

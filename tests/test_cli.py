@@ -61,6 +61,23 @@ def test_read_csv_matrix_error_location(tmp_path):
     assert "row 2" in str(info.value) and "column 2" in str(info.value)
 
 
+def test_read_csv_matrix_rows_are_file_lines(tmp_path):
+    # a blank line still counts, so the error names the value's line in the file
+    p = tmp_path / "d.csv"
+    p.write_text("x,y\n1.0,2.0\n\n3.5,oops\n4,5\n")
+    with pytest.raises(ParseError) as info:
+        read_csv_matrix(str(p))
+    assert (info.value.row, info.value.column) == (4, 2)
+
+
+def test_exactness_ceiling_exits_2(tmp_path, capsys):
+    # W(t*) is exact for n <= 702; above it the run stops as a data problem
+    p = write_demo_csv(tmp_path / "d.csv", n=703, m=2)
+    assert main(["test", str(p), "--stats", "t_tstar"]) == 2
+    err = capsys.readouterr().err
+    assert "exact for n <= 702, got 703" in err and "Traceback" not in err
+
+
 def test_json_report_shape(tmp_path, capsys):
     p = write_demo_csv(tmp_path / "d.csv")
     assert main(["test", str(p), "--stats", "s_tau,s_max_tau"]) == 0

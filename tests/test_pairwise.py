@@ -1,9 +1,13 @@
+import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from rankdep import (
+    ConfigError,
+    ExactnessCeiling,
     KernelId,
     LengthMismatch,
     RankMatrix,
@@ -12,6 +16,7 @@ from rankdep import (
     all_pairs_spearman,
     hoeffding_d,
     kendall_tau_fast,
+    pair_statistics,
     rho_hat,
     spearman_rho,
     tstar,
@@ -199,6 +204,60 @@ def test_all_pairs_thread_count_does_not_change_bits():
         v4 = all_pairs(rm, kid, kind, threads=4).values
         v8 = all_pairs(rm, kid, kind, threads=8).values
         assert np.array_equal(v1, v4) and np.array_equal(v4, v8), (kid, kind)
+
+
+def test_pair_statistics_matches_all_pairs():
+    # one call, a mixed set: the tau family's engine pass and the per-pair
+    # kernels split over threads, each equal to its own all_pairs call
+    rm = _random_ranks(48, 10, 5)
+    reqs = [
+        (KernelId.TAU, "U"), (KernelId.RHO_HAT, "U"), (KernelId.TAU, "W"), (KernelId.T_STAR, "U"),
+        (KernelId.HOEFF_D, "U"), (KernelId.RHO_HAT, "W"), (KernelId.T_STAR, "W"),
+    ]
+    want = {req: all_pairs(rm, *req).values for req in reqs}
+    for threads in (1, 3):
+        got = pair_statistics(rm, reqs, threads)
+        assert set(got) == set(reqs)
+        for req in reqs:
+            assert (got[req].kernel, got[req].kind) == req
+            assert got[req].values.tobytes() == want[req].tobytes(), (threads, req)
+
+
+def test_threads_below_one_rejected():
+    rm = _random_ranks(49, 8, 3)
+    for threads in (0, -3):
+        with pytest.raises(ConfigError, match="threads must be >= 1"):
+            all_pairs(rm, KernelId.T_STAR, "U", threads=threads)
+        with pytest.raises(ConfigError):
+            pair_statistics(rm, [], threads)  # even with nothing to compute
+
+
+def test_float64_ceilings_raise_before_work():
+    f64 = 2**53
+    rho_max = pairwise.TAU_FAMILY[(KernelId.RHO_HAT, "U")]
+    tau_w_max = pairwise.TAU_FAMILY[(KernelId.TAU, "W")]
+    assert (pairwise.TAU_FAMILY[(KernelId.TAU, "U")], rho_max, tau_w_max) == (2**24, 131_071, 13_777)
+    # each is the last n whose float64 intermediate is an exact integer
+    def rank_gram_bound(n):
+        return 2 * n * (n + 1) * (2 * n + 1)
+
+    assert rank_gram_bound(rho_max) <= f64 < rank_gram_bound(rho_max + 1)
+    assert math.comb(tau_w_max, 2) ** 2 <= f64 < math.comb(tau_w_max + 1, 2) ** 2
+
+    def ranks(n):
+        return RankMatrix(np.column_stack([np.arange(1, n + 1), np.arange(n, 0, -1)]))
+
+    # the guards fire before the O(n^2) sign rows; the errors are ValueErrors too
+    with pytest.raises(ExactnessCeiling, match=f"n <= {tau_w_max}, got {tau_w_max + 1}"):
+        all_pairs(ranks(tau_w_max + 1), KernelId.TAU, "W")
+    big = ranks(rho_max + 1)
+    with pytest.raises(ExactnessCeiling, match=f"n <= {rho_max}, got {rho_max + 1}"):
+        all_pairs(big, KernelId.RHO_HAT, "U")
+    with pytest.raises(ValueError, match=f"n <= {rho_max}, got {rho_max + 1}"):
+        all_pairs_spearman(big)
+    fake = SimpleNamespace(n=2**24 + 1, m=2)  # the guard reads only n and m
+    with pytest.raises(ExactnessCeiling, match=f"n <= {2**24}, got {2**24 + 1}"):
+        pairwise.tau_family_pairs(fake, [(KernelId.TAU, "U")])
 
 
 def test_tau_engine_slab_size_does_not_change_bits(monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rankdep import (
+    ASYMPTOTIC,
     CSV_FIELDS,
     ConfigError,
     InfeasibleSignal,
@@ -155,6 +156,22 @@ def test_run_experiment_rows_and_threads():
         assert 0.0 <= r.reject_rate <= 1.0
         assert r.se == pytest.approx(math.sqrt(r.reject_rate * (1 - r.reject_rate) / 20))
         assert (r.n, r.m, r.family, r.method, r.reps) == (24, 4, "mvn", "asymptotic", 20)
+
+
+def test_run_experiment_per_pair_kernels_thread_invariant():
+    # s_tstar and z_d run per-pair kernels, in the observed data and the MC null
+    sc = SimScenario("mvn", 16, 4, scatter="equicorrelation", signal=0.5, seed=5)
+    for method in (ASYMPTOTIC, MonteCarlo(reps=19, seed=2)):
+        rows1 = run_experiment(sc, ["s_tstar", "z_d"], reps=6, method=method, threads=1)
+        rows3 = run_experiment(sc, ["s_tstar", "z_d"], reps=6, method=method, threads=3)
+        assert rows1 == rows3
+
+
+def test_run_experiment_rejects_threads_below_one():
+    sc = SimScenario("iid-null", 12, 3, seed=4)
+    for stats in (["s_tau"], [PEARSON]):
+        with pytest.raises(ConfigError, match="threads must be >= 1"):
+            run_experiment(sc, stats, reps=2, threads=0)
 
 
 def test_run_experiment_montecarlo_path():
