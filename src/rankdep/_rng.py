@@ -5,6 +5,10 @@ derived by mixing a user seed with integer context labels (replicate index,
 column index, purpose tag).  Streams with different labels are independent,
 and the same labels always reproduce the same stream regardless of how work
 is split across threads.
+
+generator() defines a stream.  permutations() draws many keyed permutations
+from one Philox that it re-keys before each row, with the same keys and so
+the same draws, without building a generator per row.
 """
 
 from __future__ import annotations
@@ -42,3 +46,22 @@ def splitmix64_array(base: int, idx: np.ndarray) -> np.ndarray:
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         return z ^ (z >> np.uint64(31))
+
+
+def permutations(n: int, count: int, *parts: int) -> np.ndarray:
+    """(count, n) int64; row c equals generator(*parts, c).permutation(n).
+
+    The row keys are mix_key(*parts, c) = splitmix64_array(mix_key(*parts), c).
+    The Philox is built per call, not per module, so concurrent callers stay
+    independent.
+    """
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state  # counter zero, empty buffer: where Philox(key=k) starts
+    key = fresh["state"]["key"]
+    out = np.empty((count, n), dtype=np.int64)
+    for c, k in enumerate(splitmix64_array(mix_key(*parts), np.arange(count))):
+        key[0] = k
+        bitgen.state = fresh
+        out[c] = gen.permutation(n)
+    return out

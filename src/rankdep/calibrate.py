@@ -6,7 +6,8 @@ t = (9n/4) s^2 - 4 log m + log log m, the null distribution of t converges
 to F(t) = exp(-exp(-t/2) / sqrt(8 pi)).
 
 The Monte Carlo path draws `reps` independent permutation datasets (each
-column its own keyed Fisher-Yates stream, so results are reproducible and
+column its own Fisher-Yates stream keyed by (seed, replicate, column), drawn
+by re-keying one Philox per dataset, so results are reproducible and
 thread-count independent), evaluates the raw statistic on each, and uses
 the add-one estimator p = (1 + #{null >= observed}) / (reps + 1).
 """
@@ -90,11 +91,12 @@ class NullTable:
 
 
 def permutation_ranks(n: int, m: int, seed: int, replicate: int) -> RankMatrix:
-    """Independent uniform rank columns, keyed by (seed, replicate, column)."""
-    rm = np.empty((n, m), dtype=np.int64)
-    for c in range(m):
-        rm[:, c] = _rng.generator(seed, replicate, c).permutation(n) + 1
-    return RankMatrix(rm)
+    """Independent uniform rank columns, keyed by (seed, replicate, column).
+
+    Column c is _rng.generator(seed, replicate, c).permutation(n) + 1, drawn
+    by one re-keyed Philox for the whole dataset (_rng.permutations).
+    """
+    return RankMatrix(_rng.permutations(n, m, seed, replicate).T + 1)
 
 
 def montecarlo_nulls(
@@ -164,6 +166,8 @@ class TestResult:
             "m": self.m,
             "method": self.method,
             "seed": self.seed,
+            "alpha": self.alpha,
+            "reps": self.reps,
         }
 
 
@@ -191,8 +195,6 @@ def run_tests(
     montecarlo = isinstance(method, MonteCarlo)
     tables = [None] * len(stats)
     if montecarlo:
-        if method.reps < 1:
-            raise ConfigError(f"reps must be positive, got {method.reps}")
         if null_tables is None:
             tables = montecarlo_nulls(stats, n, m, method.reps, method.seed, threads)
         else:

@@ -150,14 +150,15 @@ def load(path: str | os.PathLike | None = None) -> Constants:
     return consts
 
 
-_CACHE: dict[Path, Constants] = {}
+# keyed on the arguments of resolve_path, so that a hit is one dict lookup
+_CACHE: dict[tuple, Constants] = {}
 
 
 def get(path: str | os.PathLike | None = None) -> Constants:
-    p = resolve_path(path)
-    if p not in _CACHE:
-        _CACHE[p] = load(p)
-    return _CACHE[p]
+    key = (path, os.environ.get(_ENV_VAR))
+    if key not in _CACHE:
+        _CACHE[key] = load(path)
+    return _CACHE[key]
 
 
 def clear_cache() -> None:

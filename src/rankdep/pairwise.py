@@ -21,8 +21,8 @@ row block), so memory no longer grows as m n^2, and a slab never exceeds
 2^24 rows, which keeps its float32 product exact.  TAU_FAMILY derives the
 ceilings that the engine enforces with ExactnessCeiling before any work: tau U
 n <= 2^24, rho_hat U and Spearman's rho 131,071 (12 sum R S in float64), tau W
-13,777 (it squares C(n,2)-sized counts in float64).  Hoeffding's D U is exact
-to 55,108.
+13,777 (it squares C(n,2)-sized counts in float64).  Hoeffding's D U raises
+ExactnessCeiling above 55,108, where its int64 terms (below n^4) could wrap.
 
 U-statistics average the kernel over k-subsets; W-statistics average
 h(S1) * h(S2) over ordered pairs of disjoint k-subsets and are exactly
@@ -156,8 +156,8 @@ def _hoeffding_num(vx: np.ndarray, vy: np.ndarray, c: np.ndarray) -> int:
     """(n-2)(n-3) D1 + D2 - 2(n-2) D3 as an exact Python int.
 
     Each term of D2 and D3 is an int64 product below n^4, exact while
-    n^4 < 2^63 (n <= 55,108); the sums, which exceed int64 from n of about
-    9,000, are taken in Python ints.
+    n^4 < 2^63 (n <= _HOEFFD_CEILING = 55,108); the sums, which exceed int64
+    from n of about 9,000, are taken in Python ints.
     """
     n = vx.size
     d1 = int(np.dot(c, c - 1))
@@ -166,16 +166,22 @@ def _hoeffding_num(vx: np.ndarray, vy: np.ndarray, c: np.ndarray) -> int:
     return (n - 2) * (n - 3) * d1 + d2 - 2 * (n - 2) * d3
 
 
+_HOEFFD_CEILING = _largest_n(lambda n: n**4 < 2**63, 5)
+
+
 def hoeffding_d(rx, ry) -> float:
     """Degree-5 joint-vs-product-distance U-statistic in O(n^2).
 
     Count form: with c_i = #{j : R_j < R_i and S_j < S_i},
     D = [(n-2)(n-3) D1 + D2 - 2(n-2) D3] / (n..(n-4)) where D1 = sum c(c-1),
     D2 = sum (R-1)(R-2)(S-1)(S-2), D3 = sum (R-2)(S-2)c.  Exact up to
-    n = 55,108 (see _hoeffding_num); the O(n^2) count matrix is the practical
-    limit well below that.
+    n = 55,108 (see _hoeffding_num), and it raises ExactnessCeiling above
+    that before building the count matrix; the O(n^2) count matrix is the
+    practical limit well below that.
     """
     vx, vy, n = _check_pair(rx, ry, 5, "hoeffding_d")
+    if n > _HOEFFD_CEILING:
+        raise ExactnessCeiling(f"U(hoeffd) is exact for n <= {_HOEFFD_CEILING}, got {n}")
     less = (vx[None, :] < vx[:, None]) & (vy[None, :] < vy[:, None])
     c = less.sum(axis=1, dtype=np.int64)
     den = n * (n - 1) * (n - 2) * (n - 3) * (n - 4)
@@ -420,9 +426,16 @@ def _rank_gram(ranks: np.ndarray) -> np.ndarray:
     return rf.T @ rf
 
 
-def _upper(mat: np.ndarray, m: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _triu(m: int) -> tuple[np.ndarray, np.ndarray]:
     iu = np.triu_indices(m, 1)
-    return np.ascontiguousarray(mat[iu])
+    for a in iu:
+        a.flags.writeable = False
+    return iu
+
+
+def _upper(mat: np.ndarray, m: int) -> np.ndarray:
+    return mat[_triu(m)]
 
 
 def all_pairs_spearman(ranks: RankMatrix) -> np.ndarray:

@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from rankdep import _rng
 from rankdep import (
     ASYMPTOTIC,
     ConfigError,
@@ -65,6 +67,39 @@ def test_permutation_ranks_keyed_streams():
     # columns are independent streams: changing m keeps earlier columns intact
     wide = permutation_ranks(12, 6, seed=5, replicate=0)
     assert np.array_equal(wide.ranks[:, :4], a.ranks)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 64, 129, 300])
+def test_permutation_ranks_follow_keyed_generator(n):
+    # column c is the scalar stream keyed by (seed, replicate, c), however it is drawn
+    for seed in (0, 11, 2**63 + 5, -3):
+        for replicate in (0, 7, 1999):
+            got = permutation_ranks(n, 3, seed=seed, replicate=replicate).ranks
+            for c in range(3):
+                want = _rng.generator(seed, replicate, c).permutation(n) + 1
+                assert np.array_equal(got[:, c], want), (seed, replicate, c)
+
+
+def test_permutation_stream_pinned():
+    # literals drawn by one Philox(key=mix_key(seed, replicate, c)) per column
+    assert permutation_ranks(10, 3, seed=5, replicate=2).ranks.T.tolist() == [
+        [7, 9, 2, 6, 8, 4, 5, 10, 1, 3],
+        [7, 10, 4, 3, 1, 6, 9, 2, 8, 5],
+        [8, 7, 10, 2, 3, 4, 5, 6, 1, 9],
+    ]
+    values = montecarlo_null(S_TAU, n=32, m=8, reps=200, seed=12).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == (
+        "c469f4a2f98669a900ceee6168afb127322af8655af49544a176b1d81420a6ea"
+    )
+
+
+def test_rekeyed_permutations_match_generator():
+    for parts in [(), (4,), (2**64 - 1, -1, 9)]:
+        rows = _rng.permutations(17, 5, *parts)
+        assert rows.shape == (5, 17) and rows.dtype == np.int64
+        for c in range(5):
+            assert np.array_equal(rows[c], _rng.generator(*parts, c).permutation(17))
+    assert _rng.permutations(4, 0, 1).shape == (0, 4)
 
 
 def test_montecarlo_null_sorted_and_thread_invariant():
@@ -187,5 +222,9 @@ def test_result_dict_shape():
     d = run_test(rm, S_TAU).to_dict()
     assert set(d) == {
         "statistic", "raw", "rescaled", "p_value", "reject", "n", "m", "method", "seed",
+        "alpha", "reps",
     }
     assert d["statistic"] == "s_tau" and d["method"] == "asymptotic" and d["seed"] is None
+    assert d["alpha"] == 0.05 and d["reps"] is None
+    mc = run_test(rm, S_TAU, alpha=0.1, method=MonteCarlo(reps=19, seed=4)).to_dict()
+    assert (mc["method"], mc["seed"], mc["reps"], mc["alpha"]) == ("montecarlo", 4, 19, 0.1)

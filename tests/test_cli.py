@@ -82,14 +82,16 @@ def test_json_report_shape(tmp_path, capsys):
     p = write_demo_csv(tmp_path / "d.csv")
     assert main(["test", str(p), "--stats", "s_tau,s_max_tau"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert "note" not in report  # n = 40 is not flagged
     assert [r["statistic"] for r in report["results"]] == ["s_tau", "s_max_tau"]
     for r in report["results"]:
         assert set(r) == {
             "statistic", "raw", "rescaled", "p_value", "reject", "n", "m", "method", "seed",
+            "alpha", "reps",
         }
         assert r["method"] == "asymptotic" and r["n"] == 40 and r["m"] == 4
+        assert r["alpha"] == 0.05 and r["reps"] is None
 
 
 def test_small_sample_note(tmp_path, capsys):
@@ -103,7 +105,7 @@ def test_csv_output_format(tmp_path, capsys):
     p = write_demo_csv(tmp_path / "d.csv")
     assert main(["test", str(p), "--format", "csv", "--stats", "z_tau"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "statistic,raw,rescaled,p_value,reject,n,m,method,seed"
+    assert lines[0] == "statistic,raw,rescaled,p_value,reject,n,m,method,seed,alpha,reps"
     cells = lines[1].split(",")
     assert cells[0] == "z_tau" and cells[4] in ("true", "false")
     float(cells[1])  # raw roundtrips
@@ -116,6 +118,7 @@ def test_montecarlo_method_and_env_seed(tmp_path, capsys, monkeypatch):
     report = json.loads(capsys.readouterr().out)
     r = report["results"][0]
     assert r["method"] == "montecarlo" and r["seed"] == 7
+    assert r["reps"] == 49 and r["alpha"] == 0.05  # what the p-value rests on
     assert 1 / 50 <= r["p_value"] <= 1.0
 
 

@@ -64,3 +64,22 @@ def test_unreadable_file_raises(tmp_path):
     path.write_text("{not json")
     with pytest.raises(constants.UnknownConstant):
         constants.load(path)
+
+
+def test_get_follows_env_override_and_clear_cache(tmp_path, monkeypatch):
+    obj = json.loads(constants.to_json(constants.load(constants.default_path())))
+    obj["kernels"]["tau"]["mu_prefactor"] = "1/3"
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps(obj))
+    monkeypatch.delenv("RANKDEP_CONSTANTS", raising=False)
+    packaged = constants.get()
+    assert constants.get() is packaged  # a hit returns the cached object
+    monkeypatch.setenv("RANKDEP_CONSTANTS", str(path))
+    assert constants.get().kernels["tau"].mu_prefactor == Fraction(1, 3)
+    path.write_text(constants.to_json(packaged))
+    assert constants.get().kernels["tau"].mu_prefactor == Fraction(1, 3)  # still cached
+    constants.clear_cache()
+    assert constants.get() == packaged  # reloaded from the rewritten file
+    monkeypatch.delenv("RANKDEP_CONSTANTS")
+    constants.clear_cache()
+    assert constants.get() == packaged

@@ -260,6 +260,21 @@ def test_float64_ceilings_raise_before_work():
         pairwise.tau_family_pairs(fake, [(KernelId.TAU, "U")])
 
 
+def test_hoeffding_ceiling_raises_before_count_matrix():
+    ceiling = pairwise._HOEFFD_CEILING
+    assert ceiling == 55_108 and ceiling**4 < 2**63 <= (ceiling + 1) ** 4
+    # the count matrix at n = 55,109 would take gigabytes; the guard comes first
+    up = np.arange(1, ceiling + 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExactnessCeiling, match=f"n <= {ceiling}, got {ceiling + 1}"):
+            hoeffding_d(up, up[::-1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_tau_engine_slab_size_does_not_change_bits(monkeypatch):
     # tiny budgets split the sign rows of one i across several slabs
     rm = _random_ranks(45, 37, 6)
