@@ -52,7 +52,7 @@ from .errors import (
     UnknownConstant,
     WrongArity,
 )
-from .kernels import KernelId, KernelSpec, eval_kernel, kernel_spec, mu_h, mu_h_exact
+from .kernels import KernelId, eval_kernel, mu_h, mu_h_exact
 from .pairwise import (
     PairStatistics,
     all_pairs,

@@ -12,8 +12,8 @@ correlations, and S_MAX_TAU, the maximum absolute Kendall tau.
 
 rescale() multiplies a raw statistic by the factor that makes it converge
 to a standard normal (or, for S_MAX_TAU, leaves it on the Gumbel scale).
-The factors depend on the kernel degeneracy order d and the stamped
-constants zeta_d and eta.
+The factors depend on the kernel degeneracy order d and the constants
+zeta_d and eta, all derived from the stamped covariance ladder.
 """
 
 from __future__ import annotations
@@ -220,25 +220,19 @@ def _rescale_factor(statistic: StatisticId, n: int, m: int) -> float:
     if kind is StatKind.S_MAX_TAU:
         return 1.0
     kc = constants.get().kernel(statistic.kernel)
-    k = kc.k
-    if kc.d == 1:
-        zeta1 = kc.zetas[1]
-        if zeta1 == 0:
-            raise UnknownConstant(f"zeta_1 vanishes for {statistic.kernel.key}")
+    k, d, zeta_d = kc.k, kc.d, kc.zeta_d
+    if d == 1:
         if kind in (StatKind.S, StatKind.T):
-            return float(Fraction(n, k * k * m) / zeta1)
-        return math.sqrt(2 * n) / (k * m * math.sqrt(float(zeta1)))
-    if kc.d == 2:
-        zeta2 = kc.zetas[2]
+            return float(Fraction(n, k * k * m) / zeta_d)
+        return math.sqrt(2 * n) / (k * m * math.sqrt(float(zeta_d)))
+    if d == 2:
         ck2 = math.comb(k, 2)
         if kind is StatKind.Z:
-            return n / (ck2 * m * math.sqrt(float(zeta2)))
-        if kc.eta is None:
-            raise UnknownConstant(f"eta not stamped for {statistic.kernel.key}")
+            return n / (ck2 * m * math.sqrt(float(zeta_d)))
         mult = 6 if kind is StatKind.S else 2
-        radical = math.sqrt(float(zeta2 * zeta2 + mult * kc.eta))
+        radical = math.sqrt(float(zeta_d * zeta_d + mult * kc.eta))
         return n * n / (ck2 * ck2 * 2 * m * radical)
-    raise UnknownConstant(f"no rescaling for degeneracy order {kc.d}")
+    raise UnknownConstant(f"no rescaling for degeneracy order {d}")
 
 
 def rescale(statistic: StatisticId, raw: float, n: int, m: int) -> RescaledStatistic:

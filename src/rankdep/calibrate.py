@@ -47,6 +47,10 @@ class MonteCarlo:
     reps: int
     seed: int
 
+    def __post_init__(self) -> None:
+        if self.reps < 1:
+            raise ConfigError(f"reps must be positive, got {self.reps}")
+
 
 Method = Asymptotic | MonteCarlo
 

@@ -1,12 +1,13 @@
 """Stamped limiting constants for each kernel.
 
-The rescaling of the aggregate statistics needs, per kernel: the degeneracy
-order d, the covariance ladder zeta_1..zeta_k, the fourth-moment quantity
-eta (degenerate kernels only), and the rational prefactor of the closed-form
-null moment mu_h.  All of these are derived, not transcribed: stamp() runs
-the exact enumeration oracles and writes the results to a JSON file shipped
-with the package.  verify() re-derives everything and reports one named
-check per fact, so a corrupted or stale file is caught by the selftest.
+The only stored fact per kernel is its covariance ladder zeta_1..zeta_k,
+found by exact enumeration: stamp() runs the oracles in the exact module
+and writes the ladders to a JSON file shipped with the package.  Everything
+else is derived from the ladder on load: the degree k, the degeneracy order
+d (the first non-zero zeta_c), the fourth-moment quantity eta (degenerate
+kernels only), and, in kernels.mu_h_exact, the exact null moment mu_h at
+every n.  verify() re-derives each ladder and reports one named check per
+kernel, so a corrupted or stale file is caught by the selftest.
 
 For the two degenerate kernels the fourth-moment quantity follows from the
 squared-eigenvalue ladder of the second-order projection, whose spectrum is
@@ -24,8 +25,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import UnknownConstant
-from .exact import mu_from_zetas, solve_zetas
-from .kernels import DEGREE, _MU_POLY, KernelId
+from .exact import solve_zetas
+from .kernels import KernelId
 
 _ENV_VAR = "RANKDEP_CONSTANTS"
 _ETA_RATIO = Fraction(36, 49)  # eta / zeta_d^2 for the degenerate kernels
@@ -33,15 +34,23 @@ _ETA_RATIO = Fraction(36, 49)  # eta / zeta_d^2 for the degenerate kernels
 
 @dataclass(frozen=True)
 class KernelConstants:
-    k: int
-    d: int
-    zetas: dict[int, Fraction]
-    eta: Fraction | None
-    mu_prefactor: Fraction
+    zetas: dict[int, Fraction]  # c -> zeta_c for c = 1..k
+
+    @property
+    def k(self) -> int:
+        return len(self.zetas)
+
+    @property
+    def d(self) -> int:
+        return min(c for c, z in self.zetas.items() if z != 0)
 
     @property
     def zeta_d(self) -> Fraction:
         return self.zetas[self.d]
+
+    @property
+    def eta(self) -> Fraction | None:
+        return _ETA_RATIO * self.zeta_d**2 if self.d == 2 else None
 
 
 @dataclass(frozen=True)
@@ -69,32 +78,10 @@ def resolve_path(path: str | os.PathLike | None = None) -> Path:
     return default_path()
 
 
-def _derive_kernel(kernel: KernelId) -> KernelConstants:
-    k = DEGREE[kernel]
-    zetas = solve_zetas(kernel)
-    d = min(c for c in range(1, k + 1) if zetas[c] != 0)
-    eta = _ETA_RATIO * zetas[d] ** 2 if d == 2 else None
-    num, den = _MU_POLY[kernel]
-    prefs = {mu_from_zetas(kernel, n, zetas) * den(n) / num(n) for n in range(2 * k, 2 * k + 3)}
-    if len(prefs) != 1:
-        raise AssertionError(f"mu polynomial shape wrong for {kernel.key}: {prefs}")
-    return KernelConstants(k=k, d=d, zetas=zetas, eta=eta, mu_prefactor=prefs.pop())
-
-
 def stamp() -> Constants:
     """Derive all constants from the enumeration oracles (a few seconds)."""
-    return Constants(version=1, kernels={kid.key: _derive_kernel(kid) for kid in KernelId})
-
-
-def _frac_to_str(f: Fraction | None) -> str | None:
-    return None if f is None else f"{f.numerator}/{f.denominator}"
-
-
-def _frac_from_str(s: str | None) -> Fraction | None:
-    if s is None:
-        return None
-    num, den = s.split("/")
-    return Fraction(int(num), int(den))
+    kernels = {kid.key: KernelConstants(solve_zetas(kid)) for kid in KernelId}
+    return Constants(version=2, kernels=kernels)
 
 
 def to_json(consts: Constants) -> str:
@@ -102,11 +89,9 @@ def to_json(consts: Constants) -> str:
         "version": consts.version,
         "kernels": {
             key: {
-                "k": kc.k,
-                "d": kc.d,
-                "mu_prefactor": _frac_to_str(kc.mu_prefactor),
-                "eta": _frac_to_str(kc.eta),
-                "zetas": {str(c): _frac_to_str(z) for c, z in sorted(kc.zetas.items())},
+                "zetas": {
+                    str(c): f"{z.numerator}/{z.denominator}" for c, z in sorted(kc.zetas.items())
+                }
             }
             for key, kc in consts.kernels.items()
         },
@@ -114,18 +99,21 @@ def to_json(consts: Constants) -> str:
     return json.dumps(obj, indent=2)
 
 
+def _frac_from_str(s: str) -> Fraction:
+    num, den = s.split("/")
+    return Fraction(int(num), int(den))
+
+
 def from_json(text: str) -> Constants:
     try:
         obj = json.loads(text)
-        kernels = {}
-        for key, kc in obj["kernels"].items():
-            kernels[key] = KernelConstants(
-                k=int(kc["k"]),
-                d=int(kc["d"]),
-                zetas={int(c): _frac_from_str(z) for c, z in kc["zetas"].items()},
-                eta=_frac_from_str(kc.get("eta")),
-                mu_prefactor=_frac_from_str(kc["mu_prefactor"]),
-            )
+        kernels = {
+            key: KernelConstants({int(c): _frac_from_str(z) for c, z in kc["zetas"].items()})
+            for key, kc in obj["kernels"].items()
+        }
+        for key, kc in kernels.items():  # k and d are read off the ladder
+            if sorted(kc.zetas) != list(range(1, kc.k + 1)) or not any(kc.zetas.values()):
+                raise ValueError(f"{key} needs zeta_1..zeta_k, not all zero")
         return Constants(version=int(obj["version"]), kernels=kernels)
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
         raise UnknownConstant(f"constants file unreadable: {e}") from e
@@ -166,7 +154,7 @@ def clear_cache() -> None:
 
 
 def verify(consts: Constants) -> list[tuple[str, bool, str]]:
-    """Re-derive every stored constant; one (name, ok, detail) per check."""
+    """Re-derive every stored ladder; one (name, ok, detail) per check."""
     checks: list[tuple[str, bool, str]] = []
     for kid in KernelId:
         key = kid.key
@@ -177,20 +165,4 @@ def verify(consts: Constants) -> list[tuple[str, bool, str]]:
         fresh = solve_zetas(kid)
         ok = stored.zetas == fresh
         checks.append((f"zeta_ladder_{key}", ok, "" if ok else f"expected {fresh}"))
-        d = min(c for c in fresh if fresh[c] != 0)
-        checks.append((f"degeneracy_{key}", stored.d == d, f"d={stored.d} vs derived {d}"))
-        if d == 2:
-            eta_ok = stored.eta == _ETA_RATIO * fresh[2] ** 2 and stored.eta <= fresh[2] ** 2
-            checks.append((f"eta_{key}", eta_ok, f"eta={stored.eta}"))
-        # closed-form moment must match the ladder expansion at several n
-        num, den = _MU_POLY[kid]
-        k = stored.k
-        ns = range(2 * k, 2 * k + 3) if kid is not KernelId.HOEFF_D else range(10, 13)
-        mism = [
-            n
-            for n in ns
-            if mu_from_zetas(kid, n, fresh) != stored.mu_prefactor * Fraction(num(n), den(n))
-        ]
-        name = "mu_hoeffd_resolution" if kid is KernelId.HOEFF_D else f"mu_prefactor_{key}"
-        checks.append((name, not mism, "" if not mism else f"mismatch at n={mism}"))
     return checks

@@ -12,7 +12,8 @@ expansion
 
 which is triangular in c: n = k pins zeta_k, n = k+1 pins zeta_{k-1}, and so
 on down to zeta_1 at n = 2k-1.  These routines are the ground truth against
-which the stamped constants and the closed-form moments are checked.
+which the stamped ladders are checked; mu_from_zetas, the expansion read the
+other way, lives in kernels and is re-exported here.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .kernels import _FACT, DEGREE, SCALE, KernelId, scaled_table
+from .kernels import _FACT, DEGREE, SCALE, KernelId, mu_from_zetas, scaled_table
 
 
 def all_perms(n: int) -> np.ndarray:
@@ -79,12 +80,3 @@ def solve_zetas(kernel: KernelId, mus: dict[int, Fraction] | None = None) -> dic
                 break
     return zetas
 
-
-def mu_from_zetas(kernel: KernelId, n: int, zetas: dict[int, Fraction]) -> Fraction:
-    """E[U^2] at any n >= k from the covariance ladder."""
-    k = DEGREE[kernel]
-    s = Fraction(0)
-    for c in range(1, k + 1):
-        if k - c <= n - k:
-            s += math.comb(k, c) * math.comb(n - k, k - c) * zetas[c]
-    return s / math.comb(n, k)

@@ -16,7 +16,10 @@ downstream statistic be computed in exact integer arithmetic.
 
 mu_h(kernel, n) is the exact null second moment E[U^2] of the corresponding
 pairwise U-statistic when the two rank columns are independent uniform
-permutations of 1..n.
+permutations of 1..n.  It follows at every n from the kernel's stamped
+covariance ladder zeta_1..zeta_k by Hoeffding's variance expansion
+
+    mu(n) * C(n,k) = sum_c C(k,c) * C(n-k,k-c) * zeta_c.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -160,21 +162,15 @@ def eval_kernel(kernel: KernelId, points) -> float:
     return float(table(kernel)[key])
 
 
-# Exact E[U^2] under the permutation null as prefactor * num(n) / den(n).
-# The rational prefactors live in the stamped constants file; the polynomial
-# shapes below are fixed by the kernel degrees.
-_MU_POLY = {
-    KernelId.TAU: (lambda n: 2 * n + 5, lambda n: n * (n - 1)),
-    KernelId.RHO_HAT: (lambda n: n * n - 3, lambda n: n * (n - 1) * (n - 2)),
-    KernelId.T_STAR: (
-        lambda n: 3 * n * n + 5 * n - 18,
-        lambda n: n * (n - 1) * (n - 2) * (n - 3),
-    ),
-    KernelId.HOEFF_D: (
-        lambda n: n * n + 5 * n - 32,
-        lambda n: n * (n - 1) * (n - 3) * (n - 4),
-    ),
-}
+def mu_from_zetas(kernel: KernelId, n: int, zetas: dict[int, Fraction]) -> Fraction:
+    """E[U^2] at any n >= k from the covariance ladder, over one common denominator."""
+    k = DEGREE[kernel]
+    den = math.lcm(*(z.denominator for z in zetas.values()))
+    num = sum(
+        math.comb(k, c) * math.comb(n - k, k - c) * z.numerator * (den // z.denominator)
+        for c, z in zetas.items()
+    )
+    return Fraction(num, den * math.comb(n, k))
 
 
 def mu_h_exact(kernel: KernelId, n: int) -> Fraction:
@@ -184,28 +180,8 @@ def mu_h_exact(kernel: KernelId, n: int) -> Fraction:
         raise SampleTooSmall(f"mu_h({kernel.key}) needs n >= {k}, got {n}")
     from . import constants
 
-    pref = constants.get().kernel(kernel).mu_prefactor
-    num, den = _MU_POLY[kernel]
-    return pref * Fraction(num(n), den(n))
+    return mu_from_zetas(kernel, n, constants.get().kernel(kernel).zetas)
 
 
 def mu_h(kernel: KernelId, n: int) -> float:
     return float(mu_h_exact(kernel, n))
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Degree, degeneracy order, and limiting constants of one kernel."""
-
-    kernel: KernelId
-    k: int
-    d: int
-    zeta_d: Fraction
-    eta: Fraction | None
-
-
-def kernel_spec(kernel: KernelId) -> KernelSpec:
-    from . import constants
-
-    c = constants.get().kernel(kernel)
-    return KernelSpec(kernel=kernel, k=c.k, d=c.d, zeta_d=c.zetas[c.d], eta=c.eta)

@@ -197,15 +197,11 @@ def tstar(rx, ry) -> float:
     t* = (3(Q1+Q2) - C(n,4)) / (3 C(n,4)).
     """
     vx, vy, n = _check_pair(rx, ry, 4, "tstar")
-    grid = np.zeros((n + 2, n + 2), dtype=np.int64)
-    grid[vx, vy] = 1
-    # gt[a, b] = #{w : R_w > a, S_w > b}; lt[a, b] = #{w : R_w > a, S_w < b}
-    suf_x = np.flip(np.cumsum(np.flip(grid, 0), 0), 0)
-    gt_full = np.flip(np.cumsum(np.flip(suf_x, 1), 1), 1)
-    lt_full = np.cumsum(suf_x, 1)
-    gt = gt_full[1:, 1:]  # gt[a, b] valid for a, b in 0..n via offset +1
-    lt = np.zeros((n + 1, n + 1), dtype=np.int64)
-    lt[:, 1:] = lt_full[1 : n + 2, 0:n]
+    # gt[a, b] = #{w : R_w > a, S_w > b} for a, b in 0..n, as suffix sums of
+    # the grid holding point w at (R_w - 1, S_w - 1); row and column n stay 0
+    grid = np.zeros((n + 1, n + 1), dtype=np.int64)
+    grid[vx - 1, vy - 1] = 1
+    gt = grid[::-1, ::-1].cumsum(0).cumsum(1)[::-1, ::-1]
     q1 = 0
     q2 = 0
     block = max(1, (1 << 21) // n)
@@ -215,7 +211,7 @@ def tstar(rx, ry) -> float:
         my = np.maximum(vy[lo:hi, None], vy[None, :])
         ny = np.minimum(vy[lo:hi, None], vy[None, :])
         a = gt[mx, my]
-        b = lt[mx, ny]
+        b = (n - mx) - gt[mx, ny - 1]  # #{w : R_w > mx, S_w < ny}
         mask = np.arange(n)[None, :] > np.arange(lo, hi)[:, None]
         q1 += int(np.sum(a * (a - 1) // 2, where=mask, dtype=np.int64))
         q2 += int(np.sum(b * (b - 1) // 2, where=mask, dtype=np.int64))

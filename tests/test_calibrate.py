@@ -149,6 +149,8 @@ def test_run_tests_match_run_test():
 def test_montecarlo_null_validation():
     with pytest.raises(ConfigError):
         montecarlo_null(S_TAU, n=16, m=4, reps=0, seed=0)
+    with pytest.raises(ConfigError, match="reps must be positive, got 0"):
+        MonteCarlo(reps=0, seed=0)
     with pytest.raises(ConfigError):
         montecarlo_null(S_TAU, n=16, m=1, reps=5, seed=0)
     with pytest.raises(SampleTooSmall):

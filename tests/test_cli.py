@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -156,6 +157,14 @@ def test_config_problems_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_reps_checked_before_pair_stage(tmp_path, capsys):
+    # too few rows for t_tau too, but the configuration error is reported first
+    p = write_demo_csv(tmp_path / "d.csv", n=3)
+    argv = ["test", str(p), "--stats", "t_tau", "--method", "montecarlo", "--reps", "0"]
+    assert main(argv) == 3
+    assert "reps must be positive, got 0" in capsys.readouterr().err
+
+
 def test_threads_flag_does_not_change_bytes(tmp_path):
     p = write_demo_csv(tmp_path / "d.csv", n=24, m=5)
     outs = []
@@ -209,18 +218,18 @@ def test_selftest_passes(capsys):
 def test_selftest_flags_doctored_constants(tmp_path, capsys, monkeypatch):
     consts = constants.load(constants.default_path())
     doc = json.loads(constants.to_json(consts))
-    doc["kernels"]["hoeffd"]["mu_prefactor"] = "9/8100"
+    doc["kernels"]["hoeffd"]["zetas"]["2"] = "1/405000"
     path = tmp_path / "doctored.json"
     path.write_text(json.dumps(doc))
     assert main(["selftest", "--constants", str(path)]) == 1
     out = capsys.readouterr().out
-    assert "mu_prefactor_hoeffd" in out or "mu_hoeffd_resolution" in out
+    assert "FAIL zeta_ladder_hoeffd" in out
     # the doctored file must not leak into later library calls
     import os
 
     assert os.environ.get("RANKDEP_CONSTANTS") is None or "doctored" not in os.environ["RANKDEP_CONSTANTS"]
     fresh = constants.get()
-    assert str(fresh.kernels["hoeffd"].mu_prefactor) == "1/4050"
+    assert fresh.kernels["hoeffd"].zetas[2] == Fraction(1, 810000)
 
 
 def test_console_script_entry_point(tmp_path):

@@ -51,12 +51,12 @@ def test_missing_file_is_regenerated(tmp_path):
 
 def test_perturbed_file_fails_named_check(tmp_path):
     obj = json.loads(constants.to_json(constants.load(constants.default_path())))
-    obj["kernels"]["hoeffd"]["mu_prefactor"] = "9/8100"  # wrong by 2x
+    obj["kernels"]["hoeffd"]["zetas"]["2"] = "1/405000"  # wrong by 2x
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
     bad = constants.load(path)
     failing = {name for name, ok, _ in constants.verify(bad) if not ok}
-    assert "mu_hoeffd_resolution" in failing
+    assert failing == {"zeta_ladder_hoeffd"}
 
 
 def test_unreadable_file_raises(tmp_path):
@@ -64,20 +64,27 @@ def test_unreadable_file_raises(tmp_path):
     path.write_text("{not json")
     with pytest.raises(constants.UnknownConstant):
         constants.load(path)
+    # a ladder that cannot give k and d is rejected on load, not when first used
+    for ladder in ({"1": "0/1", "2": "0/1"}, {"1": "1/9", "3": "1/1"}):
+        obj = json.loads(constants.to_json(constants.load(constants.default_path())))
+        obj["kernels"]["tau"]["zetas"] = ladder
+        path.write_text(json.dumps(obj))
+        with pytest.raises(constants.UnknownConstant, match="tau needs zeta_1..zeta_k"):
+            constants.load(path)
 
 
 def test_get_follows_env_override_and_clear_cache(tmp_path, monkeypatch):
     obj = json.loads(constants.to_json(constants.load(constants.default_path())))
-    obj["kernels"]["tau"]["mu_prefactor"] = "1/3"
+    obj["kernels"]["tau"]["zetas"]["1"] = "1/3"
     path = tmp_path / "other.json"
     path.write_text(json.dumps(obj))
     monkeypatch.delenv("RANKDEP_CONSTANTS", raising=False)
     packaged = constants.get()
     assert constants.get() is packaged  # a hit returns the cached object
     monkeypatch.setenv("RANKDEP_CONSTANTS", str(path))
-    assert constants.get().kernels["tau"].mu_prefactor == Fraction(1, 3)
+    assert constants.get().kernels["tau"].zetas[1] == Fraction(1, 3)
     path.write_text(constants.to_json(packaged))
-    assert constants.get().kernels["tau"].mu_prefactor == Fraction(1, 3)  # still cached
+    assert constants.get().kernels["tau"].zetas[1] == Fraction(1, 3)  # still cached
     constants.clear_cache()
     assert constants.get() == packaged  # reloaded from the rewritten file
     monkeypatch.delenv("RANKDEP_CONSTANTS")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankdep import KernelId, SampleTooSmall, WrongArity, eval_kernel, kernel_spec, mu_h, mu_h_exact
+from rankdep import KernelId, SampleTooSmall, WrongArity, constants, eval_kernel, mu_h, mu_h_exact
 from rankdep.kernels import DEGREE, SCALE, table
 
 
@@ -83,6 +83,27 @@ def test_mu_exact_known_values():
     assert mu_h(KernelId.TAU, 5) == pytest.approx(1 / 6, abs=0)
 
 
+def test_mu_pinned_beyond_enumeration_range():
+    # exact values far beyond the enumeration range (n <= 10) that stamps the ladders
+    want = {
+        KernelId.TAU: ("19/2592", "1541/2650752", "40001/8999910000"),
+        KernelId.RHO_HAT: ("4093/249984", "196607/150405632", "9999999997/999970000200000"),
+        KernelId.T_STAR: (
+            "1259/14295960",
+            "295549/539345196000",
+            "15000249991/468721875515622187500",
+        ),
+        KernelId.HOEFF_D: (
+            "137/1867698000",
+            "1427/3351761208000",
+            "39064453/1581904690505840390625",
+        ),
+    }
+    for kid, values in want.items():
+        for n, v in zip((64, 768, 100_000), values):
+            assert mu_h_exact(kid, n) == Fraction(v)
+
+
 def test_mu_matches_direct_enumeration_at_minimum_n():
     from rankdep.exact import mu_exact
 
@@ -101,14 +122,15 @@ def test_mu_requires_enough_points():
 
 
 def test_kernel_spec_constants():
-    s = kernel_spec(KernelId.TAU)
+    # k, d, zeta_d and eta are all derived from the stamped zeta ladder
+    s = constants.get().kernel(KernelId.TAU)
     assert (s.k, s.d, s.zeta_d, s.eta) == (2, 1, Fraction(1, 9), None)
-    s = kernel_spec(KernelId.RHO_HAT)
-    assert (s.k, s.d, s.zeta_d) == (3, 1, Fraction(1, 9))
-    s = kernel_spec(KernelId.T_STAR)
+    s = constants.get().kernel(KernelId.RHO_HAT)
+    assert (s.k, s.d, s.zeta_d, s.eta) == (3, 1, Fraction(1, 9), None)
+    s = constants.get().kernel(KernelId.T_STAR)
     assert (s.k, s.d, s.zeta_d) == (4, 2, Fraction(1, 225))
     assert s.eta == Fraction(2, 525) ** 2
-    s = kernel_spec(KernelId.HOEFF_D)
+    s = constants.get().kernel(KernelId.HOEFF_D)
     assert (s.k, s.d, s.zeta_d) == (5, 2, Fraction(1, 810000))
     assert s.eta == Fraction(1, 945000) ** 2
     assert s.eta <= s.zeta_d**2  # trace bound
