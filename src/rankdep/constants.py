@@ -1,8 +1,9 @@
 """Stamped limiting constants for each kernel.
 
 The only stored fact per kernel is its covariance ladder zeta_1..zeta_k,
-found by exact enumeration: stamp() runs the oracles in the exact module
-and writes the ladders to a JSON file shipped with the package.  Everything
+found by exact enumeration: stamp() runs the oracles in the exact module,
+and to_json() gives the JSON file shipped with the package.  The file is
+only ever read; a missing one is an error, not regenerated.  Everything
 else is derived from the ladder on load: the degree k, the degeneracy order
 d (the first non-zero zeta_c), the fourth-moment quantity eta (degenerate
 kernels only), and, in kernels.mu_h_exact, the exact null moment mu_h at
@@ -119,23 +120,14 @@ def from_json(text: str) -> Constants:
         raise UnknownConstant(f"constants file unreadable: {e}") from e
 
 
-def write(consts: Constants, path: str | os.PathLike) -> None:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(to_json(consts) + "\n")
-
-
 def load(path: str | os.PathLike | None = None) -> Constants:
-    """Load constants, regenerating (and rewriting) the file if missing."""
+    """Read a constants file; stamp() and to_json() make a new one."""
     p = resolve_path(path)
-    if p.exists():
-        return from_json(p.read_text())
-    consts = stamp()
     try:
-        write(consts, p)
-    except OSError:
-        pass  # read-only install: serve from memory
-    return consts
+        text = p.read_text()
+    except OSError as e:
+        raise UnknownConstant(f"cannot read constants file {p}: {e.strerror or e}") from e
+    return from_json(text)
 
 
 # keyed on the arguments of resolve_path, so that a hit is one dict lookup

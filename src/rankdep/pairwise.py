@@ -7,10 +7,22 @@ the float type (2^24 for float32 sign products, 2^53 for float64), and the
 naive oracles enumerate subsets with rational arithmetic.  Exactness is what
 makes results bit-identical regardless of thread count.
 
-pair_statistics is the one entry to the all-pairs stage.  It validates the
-requested (kernel, kind) pairs, sends the tau family to one tau_family_pairs
-pass, and runs every other kernel's scalar path once per pair over
-``threads`` contiguous blocks of pairs: the package's only thread pool.
+pair_statistics is the one entry to the all-pairs stage and the one place
+that checks it: each requested (kernel, kind) against its minimum n (k for
+U, 2k for W) and its _ceiling, before any engine runs.  It sends the
+tau family to one tau_family_pairs pass and runs every other kernel's
+unchecked core once per pair, over at most ``threads`` contiguous blocks of
+pairs: the package's only thread pool.  The public scalar functions check
+their own input.
+
+Largest exact n of each path, derived in code (ExactnessCeiling above it):
+  tau U 2^24 (float32 sign products); rho_hat U and Spearman's rho 131,071
+  (12 sum R S in float64); all-pairs tau W 13,777 (C(n,2)^2 in float64);
+  t* U 2,642,246 and Hoeffding's D U 55,108 (int64 sums and terms);
+  _w_engine's W: rho_hat 8,193, t* 702, D 224, and tau 2,097,152 in the
+  scalar w_stat only (int64 level sums).
+Time and memory limit the per-pair paths well below these (per pair: t* U
+0.6 s at n = 2,048; W of t* 0.4 s at n = 96, of D 0.2 s at n = 24).
 
 The tau family (Kendall tau U, rho_hat U, tau W) has one engine,
 tau_family_pairs.  All three are exact integer functions of the sign
@@ -18,11 +30,7 @@ products sign(R_ip - R_jp) sign(R_iq - R_jq), and the engine forms them once
 per rank matrix.  It streams float32 sign rows through GEMMs in slabs of at
 most SIGN_BUDGET bytes (a fixed 1 MiB; the W path holds at least one n x m
 row block), so memory no longer grows as m n^2, and a slab never exceeds
-2^24 rows, which keeps its float32 product exact.  TAU_FAMILY derives the
-ceilings that the engine enforces with ExactnessCeiling before any work: tau U
-n <= 2^24, rho_hat U and Spearman's rho 131,071 (12 sum R S in float64), tau W
-13,777 (it squares C(n,2)-sized counts in float64).  Hoeffding's D U raises
-ExactnessCeiling above 55,108, where its int64 terms (below n^4) could wrap.
+2^24 rows, which keeps its float32 product exact.
 
 U-statistics average the kernel over k-subsets; W-statistics average
 h(S1) * h(S2) over ordered pairs of disjoint k-subsets and are exactly
@@ -30,10 +38,7 @@ unbiased for the squared signal.  _w_engine computes each scalar W, and the
 all-pairs W of every kernel but tau, from C(n,k) C(n-k,k) SCALE^2 W =
 sum_A (-1)^|A| H_A^2, where H_A sums the scaled kernel over the k-subsets
 containing the index set A.  One pass fills every H_A with |A| <= k-1 and
-sum h^2 in O(n^k) time and O(n^(k-1)) memory.  Its int64 sums are exact for
-n <= 2,097,152 (tau), 8,193 (rho_hat), 702 (t*) and 224 (Hoeffding's D),
-and it raises ExactnessCeiling above that; time and memory bound it well below
-for degrees 4 and 5 (per pair: t* 0.4 s at n = 96, D 0.2 s at n = 24).
+sum h^2 in O(n^k) time and O(n^(k-1)) memory.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,27 +61,23 @@ from .ranks import RankMatrix
 
 # ---------------------------------------------------------------- validation
 
-def _as_rank_vector(r, n: int | None = None) -> np.ndarray:
-    v = np.asarray(r, dtype=np.int64)
-    if v.ndim != 1:
-        raise ValueError("rank vector must be 1-dimensional")
-    if n is not None and v.size != n:
-        raise LengthMismatch(f"rank vectors differ in length: {v.size} vs {n}")
-    if v.size == 0 or v.min() < 1 or v.max() > v.size:
-        raise ValueError("not a permutation of 1..n")
-    counts = np.bincount(v, minlength=v.size + 1)
-    if not (counts[1:] == 1).all():
-        raise ValueError("not a permutation of 1..n")
-    return v
-
-
 def _check_pair(rx, ry, min_n: int, what: str) -> tuple[np.ndarray, np.ndarray, int]:
-    vx = _as_rank_vector(rx)
-    vy = _as_rank_vector(ry, n=vx.size)
+    vx = np.asarray(rx, dtype=np.int64)
+    vy = np.asarray(ry, dtype=np.int64)
+    if vx.ndim != 1 or vy.ndim != 1:
+        raise ValueError("rank vector must be 1-dimensional")
+    if vy.size != vx.size:
+        raise LengthMismatch(f"rank vectors differ in length: {vy.size} vs {vx.size}")
+    RankMatrix(np.column_stack([vx, vy]))  # each a permutation of 1..n
     n = vx.size
     if n < min_n:
         raise SampleTooSmall(f"{what} needs n >= {min_n}, got {n}")
     return vx, vy, n
+
+
+def _check_ceiling(n: int, ceiling: int, what: str) -> None:
+    if n > ceiling:
+        raise ExactnessCeiling(f"{what} is exact for n <= {ceiling}, got {n}")
 
 
 def _largest_n(fits, lo: int) -> int:
@@ -123,7 +125,7 @@ def _tau_inv(rx: np.ndarray, ry: np.ndarray, n: int) -> int:
 
 def kendall_tau_fast(rx, ry) -> float:
     """Kendall tau of two rank vectors in O(n log n)."""
-    vx, vy, n = _check_pair(rx, ry, 2, "kendall_tau_fast")
+    vx, vy, n = _check_pair(rx, ry, DEGREE[KernelId.TAU], "kendall_tau_fast")
     inv = _tau_inv(vx, vy, n)
     return (n * (n - 1) - 4 * inv) / (n * (n - 1))
 
@@ -146,7 +148,7 @@ def rho_hat(rx, ry) -> float:
     Single integer numerator: (rho_num - 3 tau_num) / (n(n-1)(n-2)) with
     rho_num = 12 sum(R_i S_i) - 3n(n+1)^2 and tau_num = n(n-1) tau.
     """
-    vx, vy, n = _check_pair(rx, ry, 3, "rho_hat")
+    vx, vy, n = _check_pair(rx, ry, DEGREE[KernelId.RHO_HAT], "rho_hat")
     rnum = 12 * int(np.dot(vx, vy)) - 3 * n * (n + 1) ** 2
     tnum = n * (n - 1) - 4 * _tau_inv(vx, vy, n)
     return (rnum - 3 * tnum) / (n * (n - 1) * (n - 2))
@@ -169,34 +171,32 @@ def _hoeffding_num(vx: np.ndarray, vy: np.ndarray, c: np.ndarray) -> int:
 _HOEFFD_CEILING = _largest_n(lambda n: n**4 < 2**63, 5)
 
 
-def hoeffding_d(rx, ry) -> float:
-    """Degree-5 joint-vs-product-distance U-statistic in O(n^2).
-
-    Count form: with c_i = #{j : R_j < R_i and S_j < S_i},
-    D = [(n-2)(n-3) D1 + D2 - 2(n-2) D3] / (n..(n-4)) where D1 = sum c(c-1),
-    D2 = sum (R-1)(R-2)(S-1)(S-2), D3 = sum (R-2)(S-2)c.  Exact up to
-    n = 55,108 (see _hoeffding_num), and it raises ExactnessCeiling above
-    that before building the count matrix; the O(n^2) count matrix is the
-    practical limit well below that.
-    """
-    vx, vy, n = _check_pair(rx, ry, 5, "hoeffding_d")
-    if n > _HOEFFD_CEILING:
-        raise ExactnessCeiling(f"U(hoeffd) is exact for n <= {_HOEFFD_CEILING}, got {n}")
+def _hoeffd(vx: np.ndarray, vy: np.ndarray, n: int) -> float:
     less = (vx[None, :] < vx[:, None]) & (vy[None, :] < vy[:, None])
     c = less.sum(axis=1, dtype=np.int64)
     den = n * (n - 1) * (n - 2) * (n - 3) * (n - 4)
     return _hoeffding_num(vx, vy, c) / den
 
 
-def tstar(rx, ry) -> float:
-    """Degree-4 concordance-of-quadruples U-statistic in O(n^2).
+def hoeffding_d(rx, ry) -> float:
+    """Degree-5 joint-vs-product-distance U-statistic in O(n^2).
 
-    The kernel is 2/3 on a quadruple whose two x-smallest points are also
-    the two y-smallest or the two y-largest, and -1/3 otherwise.  Counting
-    qualifying quadruples by their two x-smallest points gives
-    t* = (3(Q1+Q2) - C(n,4)) / (3 C(n,4)).
+    Count form: with c_i = #{j : R_j < R_i and S_j < S_i},
+    D = [(n-2)(n-3) D1 + D2 - 2(n-2) D3] / (n..(n-4)) where D1 = sum c(c-1),
+    D2 = sum (R-1)(R-2)(S-1)(S-2), D3 = sum (R-2)(S-2)c.  The ceiling
+    (see _hoeffding_num) is checked before the O(n^2) count matrix is built.
     """
-    vx, vy, n = _check_pair(rx, ry, 4, "tstar")
+    vx, vy, n = _check_pair(rx, ry, DEGREE[KernelId.HOEFF_D], "hoeffding_d")
+    _check_ceiling(n, _HOEFFD_CEILING, "U(hoeffd)")
+    return _hoeffd(vx, vy, n)
+
+
+_TSTAR_BLOCK = 1 << 21  # elements of each (rows, n) block of _tstar's pair loop
+# each block sums at most max(_TSTAR_BLOCK, n) counts, each <= C(n,2), in int64
+_TSTAR_CEILING = _largest_n(lambda n: max(_TSTAR_BLOCK, n) * math.comb(n, 2) < 2**63, 4)
+
+
+def _tstar(vx: np.ndarray, vy: np.ndarray, n: int) -> float:
     # gt[a, b] = #{w : R_w > a, S_w > b} for a, b in 0..n, as suffix sums of
     # the grid holding point w at (R_w - 1, S_w - 1); row and column n stay 0
     grid = np.zeros((n + 1, n + 1), dtype=np.int64)
@@ -204,7 +204,7 @@ def tstar(rx, ry) -> float:
     gt = grid[::-1, ::-1].cumsum(0).cumsum(1)[::-1, ::-1]
     q1 = 0
     q2 = 0
-    block = max(1, (1 << 21) // n)
+    block = max(1, _TSTAR_BLOCK // n)
     for lo in range(0, n, block):
         hi = min(n, lo + block)
         mx = np.maximum(vx[lo:hi, None], vx[None, :])
@@ -219,12 +219,26 @@ def tstar(rx, ry) -> float:
     return (3 * (q1 + q2) - tot) / (3 * tot)
 
 
+def tstar(rx, ry) -> float:
+    """Degree-4 concordance-of-quadruples U-statistic in O(n^2).
+
+    The kernel is 2/3 on a quadruple whose two x-smallest points are also
+    the two y-smallest or the two y-largest, and -1/3 otherwise.  Counting
+    qualifying quadruples by their two x-smallest points gives
+    t* = (3(Q1+Q2) - C(n,4)) / (3 C(n,4)).
+    """
+    vx, vy, n = _check_pair(rx, ry, DEGREE[KernelId.T_STAR], "tstar")
+    _check_ceiling(n, _TSTAR_CEILING, "U(tstar)")
+    return _tstar(vx, vy, n)
+
+
 _FAST_U = {
     KernelId.TAU: kendall_tau_fast,
     KernelId.RHO_HAT: rho_hat,
     KernelId.T_STAR: tstar,
     KernelId.HOEFF_D: hoeffding_d,
 }
+_U_CORES = {KernelId.T_STAR: _tstar, KernelId.HOEFF_D: _hoeffd}  # unchecked, for pair_statistics
 
 
 # ------------------------------------------------------------- naive oracles
@@ -278,9 +292,6 @@ def _w_engine(kernel: KernelId, vx: np.ndarray, vy: np.ndarray, n: int) -> float
     slab h(c + {a, b}) of each (k-2)-prefix c, over the pairs a < b after it in
     x-rank order, adds into every H_A with |A| <= k-1 and into sum h^2."""
     k = DEGREE[kernel]
-    ceiling = _w_ceiling(kernel)
-    if n > ceiling:
-        raise ExactnessCeiling(f"W({kernel.key}) is exact for n <= {ceiling}, got {n}")
     tvec = scaled_table(kernel)
     s = vy[np.argsort(vx)].astype(np.int64)  # y-ranks in x-order
     f = k - 2
@@ -322,6 +333,7 @@ def _w_engine(kernel: KernelId, vx: np.ndarray, vy: np.ndarray, n: int) -> float
 def w_stat(kernel: KernelId, rx, ry) -> float:
     """Unbiased squared-signal W-statistic for one pair of rank vectors."""
     vx, vy, n = _check_pair(rx, ry, 2 * DEGREE[kernel], "w_stat")
+    _check_ceiling(n, _w_ceiling(kernel), f"W({kernel.key})")
     return _w_engine(kernel, vx, vy, n)
 
 
@@ -365,6 +377,16 @@ TAU_FAMILY = {
     (KernelId.RHO_HAT, "U"): _RANK_GRAM_CEILING,
     (KernelId.TAU, "W"): _largest_n(lambda n: math.comb(n, 2) ** 2 <= _F64_EXACT, 4),
 }
+
+
+def _ceiling(kernel: KernelId, kind: str) -> int:
+    """Largest exact n of each pair-stage (kernel, kind): the one table of them.
+    The W engine's need the kernel's table (tens of ms), so not at import."""
+    if (kernel, kind) in TAU_FAMILY:
+        return TAU_FAMILY[(kernel, kind)]
+    if kind == "W":
+        return _w_ceiling(kernel)
+    return {KernelId.T_STAR: _TSTAR_CEILING, KernelId.HOEFF_D: _HOEFFD_CEILING}[kernel]
 
 
 def _slab_rows(m: int) -> int:
@@ -443,8 +465,7 @@ def all_pairs_spearman(ranks: RankMatrix) -> np.ndarray:
     n, m = ranks.n, ranks.m
     if n < 2:
         raise SampleTooSmall(f"spearman needs n >= 2, got {n}")
-    if n > _RANK_GRAM_CEILING:
-        raise ExactnessCeiling(f"spearman is exact for n <= {_RANK_GRAM_CEILING}, got {n}")
+    _check_ceiling(n, _RANK_GRAM_CEILING, "spearman")
     g = _rank_gram(ranks.ranks)
     rho = (12.0 * g - 3.0 * n * (n + 1) ** 2) / (n * (n * n - 1))
     return _upper(rho, m)
@@ -454,20 +475,16 @@ def tau_family_pairs(ranks: RankMatrix, requirements) -> dict[tuple[KernelId, st
     """Tau U, rho_hat U and tau W on every column pair from one tau-engine pass.
 
     ``requirements`` is a collection of (kernel, kind) pairs from TAU_FAMILY,
-    validated by the caller (pair_statistics).  The sign products are formed
-    once: by the per-row W pass when tau W is requested (it also yields G),
-    otherwise by the upper-triangle U pass.  Each value is an exact integer
-    ratio rounded once, so the result does not depend on BLAS threading or
-    blocking; above a requirement's TAU_FAMILY ceiling it raises instead.
+    checked by the caller (pair_statistics) against their minimum n and
+    TAU_FAMILY ceiling.  The sign products are formed once: by the per-row W
+    pass when tau W is requested (it also yields G), otherwise by the
+    upper-triangle U pass.  Each value is an exact integer ratio rounded once,
+    so the result does not depend on BLAS threading or blocking.
     """
     reqs = set(requirements)
     if not reqs:
         return {}
     n, m = ranks.n, ranks.m
-    for kernel, kind in reqs:
-        ceiling = TAU_FAMILY[(kernel, kind)]
-        if n > ceiling:
-            raise ExactnessCeiling(f"{kind}({kernel.key}) is exact for n <= {ceiling}, got {n}")
     rf = ranks.ranks.astype(np.float32)
     if (KernelId.TAU, "W") in reqs:
         g, g2 = _tau_rows(rf)
@@ -487,20 +504,25 @@ def tau_family_pairs(ranks: RankMatrix, requirements) -> dict[tuple[KernelId, st
     return out
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def pair_statistics(ranks: RankMatrix, requirements, threads: int = 1) -> dict[tuple, PairStatistics]:
     """Every requested (kernel, kind) statistic on every column pair.
 
-    The one entry to the pair stage.  The tau family comes from one
-    tau_family_pairs pass.  The other kernels run their exact scalar path once
-    per pair, over ``threads`` contiguous blocks of pairs, one block per worker
-    thread; this is the package's only thread pool.  All paths are
-    exact-integer, so the result does not depend on ``threads``.
+    The one entry to the pair stage and the one place that checks it: every
+    request's minimum n and _ceiling, before any engine runs.  The tau family
+    then comes from one tau_family_pairs pass; the other kernels run their
+    unchecked core once per pair, in one block of pairs per worker thread, at
+    most ``threads`` and the usable CPUs: the package's only thread pool.
+    All paths are exact-integer, so the result does not depend on ``threads``.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     reqs = set(requirements)
     n, m = ranks.n, ranks.m
-    for kernel, kind in reqs:
+    for kernel, kind in sorted(reqs, key=str):  # the same first error under any hash seed
         if kind not in ("U", "W"):
             raise ValueError(f"kind must be 'U' or 'W', got {kind!r}")
         if m < 2:
@@ -508,11 +530,12 @@ def pair_statistics(ranks: RankMatrix, requirements, threads: int = 1) -> dict[t
         min_n = DEGREE[kernel] if kind == "U" else 2 * DEGREE[kernel]
         if n < min_n:
             raise SampleTooSmall(f"{kind}({kernel.key}) needs n >= {min_n}, got {n}")
+        _check_ceiling(n, _ceiling(kernel, kind), f"{kind}({kernel.key})")
     out = tau_family_pairs(ranks, reqs & TAU_FAMILY.keys())
     rest = list(reqs - TAU_FAMILY.keys())
     if not rest:
         return out
-    fns = [_FAST_U[kernel] if kind == "U" else partial(_w_engine, kernel, n=n) for kernel, kind in rest]
+    cores = [partial(_w_engine, kernel) if kind == "W" else _U_CORES[kernel] for kernel, kind in rest]
     cols = ranks.ranks
     pairs = [(p, q) for p in range(m) for q in range(p + 1, m)]
     vals = np.empty((len(rest), len(pairs)), dtype=np.float64)
@@ -520,10 +543,10 @@ def pair_statistics(ranks: RankMatrix, requirements, threads: int = 1) -> dict[t
     def work(block):
         for i in block:
             p, q = pairs[i]
-            for j, fn in enumerate(fns):
-                vals[j, i] = fn(cols[:, p], cols[:, q])
+            for j, core in enumerate(cores):
+                vals[j, i] = core(cols[:, p], cols[:, q], n)
 
-    workers = min(threads, len(pairs))
+    workers = min(threads, len(pairs), _usable_cpus())
     if workers == 1:  # inline: this runs once per MC replicate, a pool costs more
         work(range(len(pairs)))
     else:

@@ -232,6 +232,14 @@ def test_selftest_flags_doctored_constants(tmp_path, capsys, monkeypatch):
     assert fresh.kernels["hoeffd"].zetas[2] == Fraction(1, 810000)
 
 
+def test_selftest_missing_constants_exits_3(tmp_path, capsys):
+    path = tmp_path / "typo" / "missing.json"
+    assert main(["selftest", "--constants", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(path) in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_console_script_entry_point(tmp_path):
     p = write_demo_csv(tmp_path / "d.csv", n=16)
     proc = subprocess.run(

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -42,11 +43,11 @@ def test_roundtrip_json():
     assert constants.from_json(constants.to_json(c)) == c
 
 
-def test_missing_file_is_regenerated(tmp_path):
-    path = tmp_path / "c.json"
-    c = constants.load(path)
-    assert path.exists()
-    assert c == constants.load(constants.default_path())
+def test_missing_file_raises_and_creates_nothing(tmp_path):
+    path = tmp_path / "typo" / "c.json"
+    with pytest.raises(constants.UnknownConstant, match=re.escape(str(path))):
+        constants.load(path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_perturbed_file_fails_named_check(tmp_path):

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -223,6 +227,38 @@ def test_pair_statistics_matches_all_pairs():
             assert got[req].values.tobytes() == want[req].tobytes(), (threads, req)
 
 
+def test_workers_capped_at_usable_cpus(monkeypatch):
+    rm = _random_ranks(51, 10, 6)
+    want = all_pairs(rm, KernelId.T_STAR, "U").values
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was built with one usable CPU")
+
+    monkeypatch.setattr(pairwise, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(pairwise, "ThreadPoolExecutor", no_pool)
+    assert all_pairs(rm, KernelId.T_STAR, "U", threads=8).values.tobytes() == want.tobytes()
+
+
+def test_eight_way_split_does_not_change_bits(monkeypatch):
+    # with 8 CPUs reported, threads=8 really splits the pairs 8 ways
+    rm = _random_ranks(52, 12, 8)
+    reqs = [(KernelId.T_STAR, "U"), (KernelId.HOEFF_D, "U"), (KernelId.RHO_HAT, "W")]
+    want = pair_statistics(rm, reqs, threads=1)
+    sizes = []
+
+    class Pool(pairwise.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(pairwise, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(pairwise, "ThreadPoolExecutor", Pool)
+    got = pair_statistics(rm, reqs, threads=8)
+    assert sizes == [8]
+    for req in reqs:
+        assert got[req].values.tobytes() == want[req].values.tobytes(), req
+
+
 def test_threads_below_one_rejected():
     rm = _random_ranks(49, 8, 3)
     for threads in (0, -3):
@@ -257,7 +293,62 @@ def test_float64_ceilings_raise_before_work():
         all_pairs_spearman(big)
     fake = SimpleNamespace(n=2**24 + 1, m=2)  # the guard reads only n and m
     with pytest.raises(ExactnessCeiling, match=f"n <= {2**24}, got {2**24 + 1}"):
-        pairwise.tau_family_pairs(fake, [(KernelId.TAU, "U")])
+        pair_statistics(fake, [(KernelId.TAU, "U")])
+
+
+def test_mixed_request_raises_before_any_engine():
+    # the fakes have no ranks, so any engine that ran would fail on them
+    for n, late in ((703, (KernelId.T_STAR, "W")), (55_109, (KernelId.HOEFF_D, "U"))):
+        fake = SimpleNamespace(n=n, m=3)
+        with pytest.raises(ExactnessCeiling, match=f"n <= {n - 1}, got {n}"):
+            pair_statistics(fake, [(KernelId.TAU, "U"), late])
+
+
+def test_first_ceiling_error_does_not_depend_on_hash_seed():
+    # requests arrive as a set, whose order follows PYTHONHASHSEED
+    code = (
+        "from types import SimpleNamespace; from rankdep import pair_statistics, KernelId as K\n"
+        "try: pair_statistics(SimpleNamespace(n=703, m=3), [(K.T_STAR, 'W'), (K.HOEFF_D, 'W')])\n"
+        "except ValueError as e: print(e)"
+    )
+    src = str(Path(pairwise.__file__).parents[1])
+    outs = {
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("1", "2", "3", "4")
+    }
+    assert outs == {"W(hoeffd) is exact for n <= 224, got 703\n"}
+
+
+def test_tstar_ceiling_raises_before_grid():
+    ceiling = pairwise._ceiling(KernelId.T_STAR, "U")
+
+    def block_sum_bound(n):  # a block sums max(block, n) counts, each <= C(n,2)
+        return max(pairwise._TSTAR_BLOCK, n) * math.comb(n, 2)
+
+    assert ceiling == 2_642_246 and block_sum_bound(ceiling) < 2**63 <= block_sum_bound(ceiling + 1)
+    # the (n+1)^2 grid at this n would take terabytes; both guards come first
+    with pytest.raises(ExactnessCeiling, match=f"n <= {ceiling}, got {ceiling + 1}"):
+        pair_statistics(SimpleNamespace(n=ceiling + 1, m=2), [(KernelId.T_STAR, "U")])
+    up = np.arange(1, ceiling + 2)
+    with pytest.raises(ExactnessCeiling, match=f"n <= {ceiling}, got {ceiling + 1}"):
+        tstar(up, up[::-1])
+
+
+def test_pair_stage_does_not_recheck_columns(monkeypatch):
+    # RankMatrix has checked the columns; the per-pair loop calls the cores
+    rm = _random_ranks(50, 12, 4)
+    reqs = [(KernelId.T_STAR, "U"), (KernelId.HOEFF_D, "U"), (KernelId.RHO_HAT, "W")]
+    want = {req: all_pairs(rm, *req).values for req in reqs}
+
+    def fail(*args):
+        raise AssertionError("_check_pair called in the pair stage")
+
+    monkeypatch.setattr(pairwise, "_check_pair", fail)
+    for req in reqs:
+        assert all_pairs(rm, *req).values.tobytes() == want[req].tobytes(), req
 
 
 def test_hoeffding_ceiling_raises_before_count_matrix():
