@@ -9,28 +9,29 @@ makes results bit-identical regardless of thread count.
 
 pair_statistics is the one entry to the all-pairs stage and the one place
 that checks it: each requested (kernel, kind) against its minimum n (k for
-U, 2k for W) and its _ceiling, before any engine runs.  It sends the
-tau family to one tau_family_pairs pass and runs every other kernel's
-unchecked core once per pair, over at most ``threads`` contiguous blocks of
-pairs: the package's only thread pool.  The public scalar functions check
-their own input.
+U, 2k for W) and its _ceiling, before any engine runs.  It runs one engine
+per algebraic form, the last two over at most ``threads`` contiguous ranges
+of pairs: the package's only thread pool.  Scalar functions check their own
+input.
+
+- Tau Gram, tau_family_pairs: tau U, rho_hat U and tau W from the sign
+  products sign(R_ip - R_jp) sign(R_iq - R_jq), streamed as float32 rows
+  through GEMMs in slabs of at most BYTE_BUDGET bytes (1 MiB; at least one
+  n x m row block for W) and 2^24 rows, which keeps each product exact.
+- Dominance count, _tstar and _hoeffd: t* U and D U on a block of P column
+  pairs given as two (P, n) rank arrays, in whole-array numpy calls.  All of
+  a block's temporaries fit a quarter of BYTE_BUDGET (_plan).  The scalar
+  tstar and hoeffding_d are the P = 1 case.
+- _w_engine, once per pair: the W of every kernel but tau (below).
 
 Largest exact n of each path, derived in code (ExactnessCeiling above it):
   tau U 2^24 (float32 sign products); rho_hat U and Spearman's rho 131,071
   (12 sum R S in float64); all-pairs tau W 13,777 (C(n,2)^2 in float64);
-  t* U 2,642,246 and Hoeffding's D U 55,108 (int64 sums and terms);
-  _w_engine's W: rho_hat 8,193, t* 702, D 224, and tau 2,097,152 in the
-  scalar w_stat only (int64 level sums).
-Time and memory limit the per-pair paths well below these (per pair: t* U
-0.6 s at n = 2,048; W of t* 0.4 s at n = 96, of D 0.2 s at n = 24).
-
-The tau family (Kendall tau U, rho_hat U, tau W) has one engine,
-tau_family_pairs.  All three are exact integer functions of the sign
-products sign(R_ip - R_jp) sign(R_iq - R_jq), and the engine forms them once
-per rank matrix.  It streams float32 sign rows through GEMMs in slabs of at
-most SIGN_BUDGET bytes (a fixed 1 MiB; the W path holds at least one n x m
-row block), so memory no longer grows as m n^2, and a slab never exceeds
-2^24 rows, which keeps its float32 product exact.
+  t* U 3,963,368 (int64 row sums below 4 n^3 / 27); Hoeffding's D U 55,108
+  (int64 terms below n^4); _w_engine's W: rho_hat 8,193, t* 702, D 224, and
+  tau 2,097,152 in the scalar w_stat only (int64 level sums).
+Time limits t*, D and the W engine well below these (per pair: t* U 0.11 s,
+D U 0.01 s at n = 2,048; W of t* 0.4 s at n = 96, of D 0.2 s at n = 24).
 
 U-statistics average the kernel over k-subsets; W-statistics average
 h(S1) * h(S2) over ordered pairs of disjoint k-subsets and are exactly
@@ -50,7 +51,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -154,28 +155,59 @@ def rho_hat(rx, ry) -> float:
     return (rnum - 3 * tnum) / (n * (n - 1) * (n - 2))
 
 
-def _hoeffding_num(vx: np.ndarray, vy: np.ndarray, c: np.ndarray) -> int:
-    """(n-2)(n-3) D1 + D2 - 2(n-2) D3 as an exact Python int.
+# ------------------------------------------- dominance-count engine: t*, D
 
-    Each term of D2 and D3 is an int64 product below n^4, exact while
-    n^4 < 2^63 (n <= _HOEFFD_CEILING = 55,108); the sums, which exceed int64
-    from n of about 9,000, are taken in Python ints.
-    """
-    n = vx.size
-    d1 = int(np.dot(c, c - 1))
-    d2 = sum(((vx - 1) * (vx - 2) * (vy - 1) * (vy - 2)).tolist())
-    d3 = sum(((vx - 2) * (vy - 2) * c).tolist())
-    return (n - 2) * (n - 3) * d1 + d2 - 2 * (n - 2) * d3
+BYTE_BUDGET = 1 << 20  # bytes of temporaries a pair engine holds at once
 
 
+def _plan(rows_cap: int, row_bytes: int, pair_bytes: int) -> tuple[int, int]:
+    """(pairs per block, rows per chunk) of a block core whose pairs hold pair_bytes and
+    row_bytes per row: a block fits a quarter of BYTE_BUDGET, its rows half of that (at
+    least one pair, one row); at the whole budget glibc unmapped and re-faulted blocks."""
+    budget = BYTE_BUDGET // 4
+    rows = min(rows_cap, max(1, budget // (2 * row_bytes)))
+    return max(1, budget // (pair_bytes + rows * row_bytes)), rows
+
+
+def _tstar_plan(n: int) -> tuple[int, int]:  # per row: 2 bool and 3 int64 rows of n
+    return _plan(n - 1, 26 * n, 40 * n)  # per pair: 5 int64 n-vectors
+
+
+def _hoeffd_plan(n: int) -> tuple[int, int]:  # per row: 2 bool rows of n
+    return _plan(n, 2 * n, 64 * n)  # per pair: 8 int64 n-vectors
+
+
+# t* sums row i's n-1-i terms a(a-1) + b(b-1) <= i^2 (a + b <= i) in int64
+_TSTAR_CEILING = _largest_n(lambda n: 4 * n**3 < 27 * 2**63, 4)
+# every term of D1, D2 and D3 is an int64 product below n^4
 _HOEFFD_CEILING = _largest_n(lambda n: n**4 < 2**63, 5)
 
 
-def _hoeffd(vx: np.ndarray, vy: np.ndarray, n: int) -> float:
-    less = (vx[None, :] < vx[:, None]) & (vy[None, :] < vy[:, None])
-    c = less.sum(axis=1, dtype=np.int64)
-    den = n * (n - 1) * (n - 2) * (n - 3) * (n - 4)
-    return _hoeffding_num(vx, vy, c) / den
+def _hoeffding_num(X: np.ndarray, Y: np.ndarray, C: np.ndarray) -> list[int]:
+    """(n-2)(n-3) D1 + D2 - 2(n-2) D3 of each row of the (P, n) arrays, exact:
+    every term is an int64 product below n^4, summed in int64 over chunks of
+    (2^63 - 1) // n^4 rows and then, past int64 from n ~ 9,000, in Python ints."""
+    n = X.shape[1]
+    step = (2**63 - 1) // n**4
+    d = 0
+    for lo in range(0, n, step):
+        x, y, c = X[:, lo : lo + step], Y[:, lo : lo + step], C[:, lo : lo + step]
+        part = [c * (c - 1), (x - 1) * (x - 2) * (y - 1) * (y - 2), (x - 2) * (y - 2) * c]
+        d = d + np.array([t.sum(1) for t in part]).astype(object)  # Python ints from here on
+    d1, d2, d3 = d
+    return ((n - 2) * (n - 3) * d1 + d2 - 2 * (n - 2) * d3).tolist()
+
+
+def _hoeffd(X: np.ndarray, Y: np.ndarray) -> list[float]:
+    """Hoeffding's D of each row pair of the (P, n) rank arrays X, Y (see hoeffding_d)."""
+    P, n = X.shape
+    rows = _hoeffd_plan(n)[1]
+    c = np.empty((P, n), dtype=np.int64)
+    for lo in range(0, n, rows):
+        less = X[:, None, :] < X[:, lo : lo + rows, None]
+        less &= Y[:, None, :] < Y[:, lo : lo + rows, None]
+        less.sum(axis=2, dtype=np.int64, out=c[:, lo : lo + rows])
+    return [num / math.perm(n, 5) for num in _hoeffding_num(X, Y, c)]  # n(n-1)..(n-4)
 
 
 def hoeffding_d(rx, ry) -> float:
@@ -184,39 +216,42 @@ def hoeffding_d(rx, ry) -> float:
     Count form: with c_i = #{j : R_j < R_i and S_j < S_i},
     D = [(n-2)(n-3) D1 + D2 - 2(n-2) D3] / (n..(n-4)) where D1 = sum c(c-1),
     D2 = sum (R-1)(R-2)(S-1)(S-2), D3 = sum (R-2)(S-2)c.  The ceiling
-    (see _hoeffding_num) is checked before the O(n^2) count matrix is built.
+    (see _hoeffding_num) is checked before any count is made.
     """
     vx, vy, n = _check_pair(rx, ry, DEGREE[KernelId.HOEFF_D], "hoeffding_d")
     _check_ceiling(n, _HOEFFD_CEILING, "U(hoeffd)")
-    return _hoeffd(vx, vy, n)
+    return _hoeffd(vx[None], vy[None])[0]
 
 
-_TSTAR_BLOCK = 1 << 21  # elements of each (rows, n) block of _tstar's pair loop
-# each block sums at most max(_TSTAR_BLOCK, n) counts, each <= C(n,2), in int64
-_TSTAR_CEILING = _largest_n(lambda n: max(_TSTAR_BLOCK, n) * math.comb(n, 2) < 2**63, 4)
+def _tstar(X: np.ndarray, Y: np.ndarray) -> list[float]:
+    """t* of each row pair of the (P, n) rank arrays X, Y (see tstar).
 
-
-def _tstar(vx: np.ndarray, vy: np.ndarray, n: int) -> float:
-    # gt[a, b] = #{w : R_w > a, S_w > b} for a, b in 0..n, as suffix sums of
-    # the grid holding point w at (R_w - 1, S_w - 1); row and column n stay 0
-    grid = np.zeros((n + 1, n + 1), dtype=np.int64)
-    grid[vx - 1, vy - 1] = 1
-    gt = grid[::-1, ::-1].cumsum(0).cumsum(1)[::-1, ::-1]
-    q1 = 0
-    q2 = 0
-    block = max(1, _TSTAR_BLOCK // n)
-    for lo in range(0, n, block):
-        hi = min(n, lo + block)
-        mx = np.maximum(vx[lo:hi, None], vx[None, :])
-        my = np.maximum(vy[lo:hi, None], vy[None, :])
-        ny = np.minimum(vy[lo:hi, None], vy[None, :])
-        a = gt[mx, my]
-        b = (n - mx) - gt[mx, ny - 1]  # #{w : R_w > mx, S_w < ny}
-        mask = np.arange(n)[None, :] > np.arange(lo, hi)[:, None]
-        q1 += int(np.sum(a * (a - 1) // 2, where=mask, dtype=np.int64))
-        q2 += int(np.sum(b * (b - 1) // 2, where=mask, dtype=np.int64))
+    With a pair's points in descending x-order, V_s = n - (y-rank of the
+    s-th) and H[i, j] = #{s < i : V_s < V_j}, of the i points of larger x
+    than points i < j, a = min(H[i, j], H[i, i]) lie above both in y and
+    b = i - max(H[i, j], H[i, i]) below both: Q1 + Q2 = sum C(a,2) + C(b,2)."""
+    P, n = X.shape
+    rows = _tstar_plan(n)[1]
+    V = np.empty((P, n), dtype=np.int64)
+    V[np.arange(P)[:, None], n - X] = n - Y
+    q = [0] * P
+    for lo in range(0, n - 1, rows):  # rows i = s + 1 of points s in [lo, lo + rows); sums carried
+        i = np.arange(lo + 1, min(n, lo + rows + 1))
+        h = np.cumsum(V[:, lo : lo + i.size, None] < V[:, None, :], axis=1, dtype=np.int64)
+        if lo:
+            h += carry
+        carry = h[:, -1:].copy()
+        d = np.diagonal(h[:, :, lo + 1 :], axis1=1, axis2=2)[:, :, None].copy()  # H[i, i]
+        a = np.minimum(h, d)
+        a *= a - 1
+        np.maximum(h, d, out=h)
+        np.subtract(i[:, None], h, out=h)  # b
+        h *= h - 1
+        h += a
+        upper = np.arange(n) > i[:, None]  # the pairs i < j only
+        q = [x + sum(r) for x, r in zip(q, np.einsum("pij,ij->pi", h, upper).tolist())]
     tot = math.comb(n, 4)
-    return (3 * (q1 + q2) - tot) / (3 * tot)
+    return [(3 * (x // 2) - tot) / (3 * tot) for x in q]
 
 
 def tstar(rx, ry) -> float:
@@ -229,7 +264,7 @@ def tstar(rx, ry) -> float:
     """
     vx, vy, n = _check_pair(rx, ry, DEGREE[KernelId.T_STAR], "tstar")
     _check_ceiling(n, _TSTAR_CEILING, "U(tstar)")
-    return _tstar(vx, vy, n)
+    return _tstar(vx[None], vy[None])[0]
 
 
 _FAST_U = {
@@ -238,7 +273,7 @@ _FAST_U = {
     KernelId.T_STAR: tstar,
     KernelId.HOEFF_D: hoeffding_d,
 }
-_U_CORES = {KernelId.T_STAR: _tstar, KernelId.HOEFF_D: _hoeffd}  # unchecked, for pair_statistics
+_U_BLOCKS = {KernelId.T_STAR: (_tstar, _tstar_plan), KernelId.HOEFF_D: (_hoeffd, _hoeffd_plan)}
 
 
 # ------------------------------------------------------------- naive oracles
@@ -365,7 +400,6 @@ class PairStatistics:
 # signs come from the branch-free copysign(1, d) (several times faster than
 # np.sign on mixed signs), and the W path zeroes the j = i entries itself.
 
-SIGN_BUDGET = 1 << 20  # bytes of float32 sign rows the engine holds at once
 _F32_EXACT = 2 ** (np.finfo(np.float32).nmant + 1)  # every integer up to 2^24
 _F64_EXACT = 2 ** (np.finfo(np.float64).nmant + 1)  # every integer up to 2^53
 
@@ -390,7 +424,7 @@ def _ceiling(kernel: KernelId, kind: str) -> int:
 
 
 def _slab_rows(m: int) -> int:
-    rows = max(1, SIGN_BUDGET // (4 * m))
+    rows = max(1, BYTE_BUDGET // (4 * m))  # float32 sign rows
     # a slab's column products sum at most `rows` terms of +-1, exact in float32
     assert rows <= _F32_EXACT
     return rows
@@ -513,10 +547,11 @@ def pair_statistics(ranks: RankMatrix, requirements, threads: int = 1) -> dict[t
 
     The one entry to the pair stage and the one place that checks it: every
     request's minimum n and _ceiling, before any engine runs.  The tau family
-    then comes from one tau_family_pairs pass; the other kernels run their
-    unchecked core once per pair, in one block of pairs per worker thread, at
-    most ``threads`` and the usable CPUs: the package's only thread pool.
-    All paths are exact-integer, so the result does not depend on ``threads``.
+    then comes from one tau_family_pairs pass.  t* U and D U run their block
+    core on blocks of pairs, and every other W its _w_engine once per pair,
+    over one contiguous range of pairs per worker thread, at most ``threads``
+    and the usable CPUs: the package's only thread pool.  All paths are
+    exact-integer, so the result does not depend on ``threads``.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -535,24 +570,29 @@ def pair_statistics(ranks: RankMatrix, requirements, threads: int = 1) -> dict[t
     rest = list(reqs - TAU_FAMILY.keys())
     if not rest:
         return out
-    cores = [partial(_w_engine, kernel) if kind == "W" else _U_CORES[kernel] for kernel, kind in rest]
-    cols = ranks.ranks
-    pairs = [(p, q) for p in range(m) for q in range(p + 1, m)]
-    vals = np.empty((len(rest), len(pairs)), dtype=np.float64)
+    cols = np.ascontiguousarray(ranks.ranks.T)  # (m, n): row p is column p's ranks
+    ps, qs = _triu(m)
+    vals = np.empty((len(rest), ps.size), dtype=np.float64)
 
-    def work(block):
-        for i in block:
-            p, q = pairs[i]
-            for j, core in enumerate(cores):
-                vals[j, i] = core(cols[:, p], cols[:, q], n)
+    def work(lo, hi):
+        for row, (kernel, kind) in zip(vals, rest):
+            if kind == "W":
+                for i in range(lo, hi):
+                    row[i] = _w_engine(kernel, cols[ps[i]], cols[qs[i]], n)
+                continue
+            core, plan = _U_BLOCKS[kernel]
+            step = plan(n)[0]
+            for a in range(lo, hi, step):
+                b = min(hi, a + step)
+                row[a:b] = core(cols[ps[a:b]], cols[qs[a:b]])
 
-    workers = min(threads, len(pairs), _usable_cpus())
+    workers = min(threads, ps.size, _usable_cpus())
     if workers == 1:  # inline: this runs once per MC replicate, a pool costs more
-        work(range(len(pairs)))
+        work(0, ps.size)
     else:
-        bounds = np.linspace(0, len(pairs), workers + 1).astype(int)
+        bounds = np.linspace(0, ps.size, workers + 1).astype(int).tolist()
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(work, map(range, bounds[:-1], bounds[1:])))
+            list(ex.map(work, bounds[:-1], bounds[1:]))
     out.update((req, PairStatistics(*req, values=v, n=n, m=m)) for req, v in zip(rest, vals))
     return out
 

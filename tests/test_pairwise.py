@@ -325,11 +325,11 @@ def test_first_ceiling_error_does_not_depend_on_hash_seed():
 def test_tstar_ceiling_raises_before_grid():
     ceiling = pairwise._ceiling(KernelId.T_STAR, "U")
 
-    def block_sum_bound(n):  # a block sums max(block, n) counts, each <= C(n,2)
-        return max(pairwise._TSTAR_BLOCK, n) * math.comb(n, 2)
+    def row_sum_bound(n):  # row i sums n-1-i terms, each <= i^2: at most 4 n^3 / 27
+        return 4 * n**3
 
-    assert ceiling == 2_642_246 and block_sum_bound(ceiling) < 2**63 <= block_sum_bound(ceiling + 1)
-    # the (n+1)^2 grid at this n would take terabytes; both guards come first
+    assert ceiling == 3_963_368 and row_sum_bound(ceiling) < 27 * 2**63 <= row_sum_bound(ceiling + 1)
+    # the O(n^2) counts at this n would take terabytes; both guards come first
     with pytest.raises(ExactnessCeiling, match=f"n <= {ceiling}, got {ceiling + 1}"):
         pair_statistics(SimpleNamespace(n=ceiling + 1, m=2), [(KernelId.T_STAR, "U")])
     up = np.arange(1, ceiling + 2)
@@ -372,7 +372,7 @@ def test_tau_engine_slab_size_does_not_change_bits(monkeypatch):
     reqs = [(KernelId.TAU, "U"), (KernelId.RHO_HAT, "U"), (KernelId.TAU, "W")]
     want = {req: all_pairs(rm, *req).values for req in reqs}
     for budget in (4, 100, 1000):
-        monkeypatch.setattr(pairwise, "SIGN_BUDGET", budget)
+        monkeypatch.setattr(pairwise, "BYTE_BUDGET", budget)
         for req in reqs:
             assert np.array_equal(all_pairs(rm, *req).values, want[req]), (budget, req)
         shared = pairwise.tau_family_pairs(rm, reqs)
@@ -381,7 +381,7 @@ def test_tau_engine_slab_size_does_not_change_bits(monkeypatch):
 
 
 def test_tau_engine_memory_is_bounded():
-    # the sign rows are streamed in slabs of SIGN_BUDGET bytes, so the peak
+    # the sign rows are streamed in slabs of BYTE_BUDGET bytes, so the peak
     # does not grow as m * n^2 (about 80 MB for an (n^2, m) sign matrix here)
     rm = _random_ranks(46, 1024, 16)
     for kind in ("U", "W"):
@@ -392,6 +392,150 @@ def test_tau_engine_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, (kind, peak)
+
+
+# all_pairs t* U and D U captured from the per-pair path this engine replaced,
+# as float.hex; columns 0 and 1 are identical and column 3 reverses column 2
+PINNED_BLOCK_VALUES = {
+    (KernelId.T_STAR, 64, 12): """
+        0x1.5555555555555p-1 -0x1.2194891b15026p-7 -0x1.2194891b15026p-7 -0x1.82b10295c79e4p-7
+        -0x1.bae7d4efd6a38p-9 0x1.57446e2f54ad0p-13 -0x1.17ada37741560p-7 -0x1.1ad2ff174deb7p-9
+        0x1.4239c63332debp-8 0x1.abf9aeaed179ap-6 -0x1.bf3cd967833efp-9 -0x1.2194891b15026p-7
+        -0x1.2194891b15026p-7 -0x1.82b10295c79e4p-7 -0x1.bae7d4efd6a38p-9 0x1.57446e2f54ad0p-13
+        -0x1.17ada37741560p-7 -0x1.1ad2ff174deb7p-9 0x1.4239c63332debp-8 0x1.abf9aeaed179ap-6
+        -0x1.bf3cd967833efp-9 0x1.5555555555555p-1 0x1.c972f6387588bp-8 0x1.754ef0365b875p-6
+        0x1.c01d4b1204a79p-7 0x1.de9805ee4c362p-13 -0x1.304745fa43364p-9 -0x1.c850813daff25p-8
+        0x1.8bf979df5e0fep-7 0x1.a15359089e7b9p-9 0x1.c972f6387588bp-8 0x1.754ef0365b875p-6
+        0x1.c01d4b1204a79p-7 0x1.de9805ee4c362p-13 -0x1.304745fa43364p-9 -0x1.c850813daff25p-8
+        0x1.8bf979df5e0fep-7 0x1.a15359089e7b9p-9 -0x1.29e22700752c5p-9 -0x1.15b7f0aed4c69p-7
+        -0x1.1a6960307a6efp-8 -0x1.94544ba198a95p-8 -0x1.e219cc9851d88p-9 -0x1.ca956b333b1f2p-9
+        -0x1.4204f6bfc9207p-9 0x1.69d55cc281903p-6 -0x1.46c39a1e49386p-9 0x1.06d0645c3cd47p-10
+        -0x1.27339e241682fp-8 0x1.1365d2dc6f2a3p-8 0x1.d93af4358ee37p-10 -0x1.28da19bf64750p-9
+        -0x1.a3490bd10b0b0p-8 -0x1.cf88de0524f55p-8 -0x1.864d30f9821fdp-9 -0x1.c9dc951f49053p-8
+        0x1.945ae59005e12p-6 0x1.6f6a8ae5df3d1p-5 -0x1.c3c6ad529998ap-10 -0x1.a436b15866e33p-8
+        -0x1.6f673deea8a13p-9 -0x1.cb9d78744bd67p-8 -0x1.0529e8c0eee26p-9 0x1.53737058306d4p-8
+        -0x1.f8caf02fc198ep-9 -0x1.0f10ce64c28ecp-9
+    """,
+    (KernelId.HOEFF_D, 64, 12): """
+        0x1.1111111111111p-5 -0x1.1b704102e3d26p-12 -0x1.1b704102e3d26p-12 -0x1.6a7623fa0d72cp-12
+        -0x1.d066abb6ade13p-15 0x1.038a77bd8ce79p-15 -0x1.1e0ad68625e9ep-12 -0x1.c2147564c25fdp-14
+        0x1.026d4ab4b84a9p-12 0x1.370d369cfdc7cp-11 -0x1.0f05121239481p-14 -0x1.1b704102e3d26p-12
+        -0x1.1b704102e3d26p-12 -0x1.6a7623fa0d72cp-12 -0x1.d066abb6ade13p-15 0x1.038a77bd8ce79p-15
+        -0x1.1e0ad68625e9ep-12 -0x1.c2147564c25fdp-14 0x1.026d4ab4b84a9p-12 0x1.370d369cfdc7cp-11
+        -0x1.0f05121239481p-14 0x1.1111111111111p-5 0x1.bdd3644632564p-13 0x1.bbc927ed558b0p-11
+        0x1.a60898f1e3f48p-12 0x1.054d1db88ab69p-15 -0x1.e2686d8e1ccbfp-16 -0x1.9d7f6c1cd7ea2p-13
+        0x1.f16f5e70b0c1bp-13 0x1.76e152eab7fd1p-14 0x1.bdd3644632564p-13 0x1.bbc927ed558b0p-11
+        0x1.a60898f1e3f48p-12 0x1.054d1db88ab69p-15 -0x1.e2686d8e1ccbfp-16 -0x1.9d7f6c1cd7ea2p-13
+        0x1.f16f5e70b0c1bp-13 0x1.76e152eab7fd1p-14 -0x1.221bc9ebe984bp-13 -0x1.8758c38688d2bp-13
+        -0x1.3a3b145f477d4p-13 -0x1.27d4655ba2657p-13 -0x1.764669dc70bdep-14 -0x1.bc02a91b5c98cp-14
+        -0x1.089ec6a9c3ea3p-14 0x1.30f74ed04e5b2p-11 -0x1.8278179f143a7p-15 0x1.4d5d888b8100ap-15
+        -0x1.b32e609c7b969p-13 0x1.d09f00760d9b1p-14 0x1.1f442deeaa63dp-13 -0x1.6a06a6e9f552ep-14
+        -0x1.bf6718f70b0a6p-13 -0x1.8d86ba2f9e76bp-13 -0x1.c0a19cce36d82p-15 -0x1.6150e1a812d55p-13
+        0x1.5959d0a367150p-11 0x1.3f17efdf1c44ep-10 -0x1.907a808c8d748p-16 -0x1.608bb90a43cacp-13
+        -0x1.e9603e8f9eca0p-15 -0x1.def38fa547c43p-13 -0x1.3a83d72bcdcd5p-14 0x1.621d14ddcdd71p-13
+        -0x1.4e20584c01637p-13 -0x1.860b78c4e7c6fp-14
+    """,
+    (KernelId.T_STAR, 128, 8): """
+        0x1.5555555555555p-1 0x1.94786c36895aep-11 0x1.94786c36895aep-11 0x1.3e4009178c3b1p-8
+        -0x1.c09751f19d34cp-9 0x1.374d5942448f6p-9 0x1.2006830707b8ap-8 0x1.94786c36895aep-11
+        0x1.94786c36895aep-11 0x1.3e4009178c3b1p-8 -0x1.c09751f19d34cp-9 0x1.374d5942448f6p-9
+        0x1.2006830707b8ap-8 0x1.5555555555555p-1 -0x1.23ed27d7bb2a4p-9 -0x1.39284b5279a66p-10
+        -0x1.bae707b25b0e8p-13 -0x1.75fffe08bf15dp-9 -0x1.23ed27d7bb2a4p-9 -0x1.39284b5279a66p-10
+        -0x1.bae707b25b0e8p-13 -0x1.75fffe08bf15dp-9 0x1.b520b90273b0ep-10 -0x1.161aa7692726dp-8
+        -0x1.399b1954b28ffp-8 -0x1.46866b247fce9p-11 0x1.cf20404eaeb97p-10 0x1.01eade6ad125ep-9
+    """,
+    (KernelId.HOEFF_D, 128, 8): """
+        0x1.1111111111111p-5 0x1.64793068534f0p-16 0x1.64793068534f0p-16 0x1.0793360137370p-13
+        -0x1.49a1351a78116p-14 0x1.3af511a174c56p-15 0x1.af4b88bf3c82dp-14 0x1.64793068534f0p-16
+        0x1.64793068534f0p-16 0x1.0793360137370p-13 -0x1.49a1351a78116p-14 0x1.3af511a174c56p-15
+        0x1.af4b88bf3c82dp-14 0x1.1111111111111p-5 -0x1.032a45c25608ap-14 -0x1.5533c64ecd200p-15
+        -0x1.2ef553fedd264p-16 -0x1.3f87acb0023b6p-14 -0x1.032a45c25608ap-14 -0x1.5533c64ecd200p-15
+        -0x1.2ef553fedd264p-16 -0x1.3f87acb0023b6p-14 0x1.274de2ceddc0dp-15 -0x1.0055a0c069c51p-13
+        -0x1.142d3e02ba12fp-13 -0x1.321ff1f597af9p-17 0x1.cfd144f055061p-15 0x1.5c220398ed862p-14
+    """,
+}
+
+
+def _pinned_ranks(seed, n, m):
+    rng = generator(seed, 0, 0)
+    cols = [rng.permutation(n) + 1 for _ in range(m)]
+    cols[1] = cols[0].copy()
+    cols[3] = n + 1 - cols[2]
+    return RankMatrix(np.column_stack(cols))
+
+
+def test_block_cores_match_pinned_values():
+    # the benchmark takes its reference from tstar and hoeffding_d, which now
+    # share these cores, so the pins guard them
+    for (kid, n, m), text in PINNED_BLOCK_VALUES.items():
+        rm = _pinned_ranks(60 if n == 64 else 61, n, m)
+        got = [float(v).hex() for v in all_pairs(rm, kid, "U").values]
+        assert got == text.split(), (kid, n, m)
+
+
+def test_block_cores_match_subset_enumeration():
+    rng = np.random.default_rng(21)
+    for kid, core in ((KernelId.T_STAR, pairwise._tstar), (KernelId.HOEFF_D, pairwise._hoeffd)):
+        for n in range(DEGREE[kid], 10):
+            up = np.arange(1, n + 1)
+            X = np.array([up, up] + [rng.permutation(n) + 1 for _ in range(5)])
+            Y = np.array([up, up[::-1]] + [rng.permutation(n) + 1 for _ in range(5)])
+            want = [u_stat_naive(kid, x, y) for x, y in zip(X, Y)]
+            assert core(X, Y) == want, (kid, n)
+            assert [core(X[k : k + 1], Y[k : k + 1])[0] for k in range(len(X))] == want, (kid, n)
+
+
+def test_block_budget_does_not_change_bits(monkeypatch):
+    # a few bytes give blocks of one pair and chunks of one row; 4 KiB and
+    # 64 KiB split t*'s rows into chunks and D's pairs into blocks of several
+    rm = _random_ranks(54, 37, 7)
+    reqs = [(KernelId.T_STAR, "U"), (KernelId.HOEFF_D, "U")]
+    want = pair_statistics(rm, reqs)
+    plans = set()
+    for budget in (4, 4096, 65536):
+        monkeypatch.setattr(pairwise, "BYTE_BUDGET", budget)
+        plans |= {pairwise._tstar_plan(37), pairwise._hoeffd_plan(37)}
+        for threads in (1, 3):
+            got = pair_statistics(rm, reqs, threads)
+            for req in reqs:
+                assert got[req].values.tobytes() == want[req].values.tobytes(), (budget, threads, req)
+    assert {(1, 1), (1, 8), (3, 37)} <= plans  # (pairs per block, rows per chunk)
+
+
+def test_block_core_memory_is_bounded():
+    # every live array of a block is counted against the budget, and t* chunks
+    # its rows; the per-pair path peaked at about 4.5 MiB for t* here
+    rm = _random_ranks(53, 256, 24)
+    for kid in (KernelId.T_STAR, KernelId.HOEFF_D):
+        tracemalloc.start()
+        try:
+            all_pairs(rm, kid, "U")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pairwise.BYTE_BUDGET, (kid, peak)
+
+
+def test_pair_stage_calls_block_cores_per_block(monkeypatch):
+    # t* U and D U go through their block cores a block of pairs at a time,
+    # never through a per-pair call
+    rm = _random_ranks(55, 64, 12)
+    reqs = [(KernelId.T_STAR, "U"), (KernelId.HOEFF_D, "U")]
+    want = pair_statistics(rm, reqs)
+    sizes = {}
+    for kid, (core, plan) in list(pairwise._U_BLOCKS.items()):
+        def counted(X, Y, core=core, kid=kid):
+            sizes.setdefault(kid, []).append(len(X))
+            return core(X, Y)
+
+        monkeypatch.setitem(pairwise._U_BLOCKS, kid, (counted, plan))
+    for name in ("tstar", "hoeffding_d"):
+        monkeypatch.setattr(pairwise, name, lambda *a: pytest.fail("a scalar kernel ran in the pair stage"))
+    got = pair_statistics(rm, reqs)
+    for kid, kind in reqs:
+        step = pairwise._U_BLOCKS[kid][1](64)[0]
+        assert step > 1 and sizes[kid] == [step] * (66 // step) + [66 % step] * (66 % step > 0), kid
+        assert got[(kid, kind)].values.tobytes() == want[(kid, kind)].values.tobytes()
 
 
 def test_hoeffding_sums_exact_past_int64():
@@ -417,7 +561,7 @@ def test_hoeffding_sums_exact_past_int64():
     d3 = sum((x - 2) * (y - 2) * ci for x, y, ci in zip(xs, ys, cs))
     assert d2 > 2**63
     want = (n - 2) * (n - 3) * d1 + d2 - 2 * (n - 2) * d3
-    assert _hoeffding_num(vx, vy, np.array(cs, dtype=np.int64)) == want
+    assert _hoeffding_num(vx[None], vy[None], np.array([cs], dtype=np.int64)) == [want]
 
 
 def test_all_pairs_sample_size_guards():
