@@ -19,9 +19,12 @@ input.
   through GEMMs in slabs of at most BYTE_BUDGET bytes (1 MiB; at least one
   n x m row block for W) and 2^24 rows, which keeps each product exact.
 - Dominance count, _tstar and _hoeffd: t* U and D U on a block of P column
-  pairs given as two (P, n) rank arrays, in whole-array numpy calls.  All of
-  a block's temporaries fit a quarter of BYTE_BUDGET (_plan).  The scalar
-  tstar and hoeffding_d are the P = 1 case.
+  pairs given as two (P, n) rank arrays, in whole-array numpy calls.  Every
+  per-element count is held in _count_type(n), the narrowest signed integer
+  holding n^2 (int8 to n = 11, int16 to 181, int32 to 46,340, then int64);
+  row sums are int64 and combined in Python ints.  All of a block's
+  temporaries, counted at that width, fit a quarter of BYTE_BUDGET (_plan).
+  The scalar tstar and hoeffding_d are the P = 1 case.
 - _w_engine, once per pair: the W of every kernel but tau (below).
 
 Largest exact n of each path, derived in code (ExactnessCeiling above it):
@@ -30,8 +33,8 @@ Largest exact n of each path, derived in code (ExactnessCeiling above it):
   t* U 3,963,368 (int64 row sums below 4 n^3 / 27); Hoeffding's D U 55,108
   (int64 terms below n^4); _w_engine's W: rho_hat 8,193, t* 702, D 224, and
   tau 2,097,152 in the scalar w_stat only (int64 level sums).
-Time limits t*, D and the W engine well below these (per pair: t* U 0.11 s,
-D U 0.01 s at n = 2,048; W of t* 0.4 s at n = 96, of D 0.2 s at n = 24).
+Time limits t*, D and the W engine well below these (per pair: t* U 0.03 s,
+D U 0.002 s at n = 2,048; W of t* 0.4 s at n = 96, of D 0.2 s at n = 24).
 
 U-statistics average the kernel over k-subsets; W-statistics average
 h(S1) * h(S2) over ordered pairs of disjoint k-subsets and are exactly
@@ -169,12 +172,20 @@ def _plan(rows_cap: int, row_bytes: int, pair_bytes: int) -> tuple[int, int]:
     return max(1, budget // (pair_bytes + rows * row_bytes)), rows
 
 
-def _tstar_plan(n: int) -> tuple[int, int]:  # per row: 2 bool and 3 int64 rows of n
-    return _plan(n - 1, 26 * n, 40 * n)  # per pair: 5 int64 n-vectors
+def _count_type(n: int) -> np.dtype:
+    """The narrowest signed integer holding -n^2..n^2, the type of every per-element
+    count of the block cores: counts <= n, c(c-1) and a(a-1) + b(b-1) below n^2."""
+    return np.min_scalar_type(-n * n)
+
+
+def _tstar_plan(n: int) -> tuple[int, int]:  # per row: 2 bool and 3 count rows of n
+    s = _count_type(n).itemsize
+    return _plan(n - 1, (2 + 3 * s) * n, (24 + 3 * s) * n)  # per pair: 3 int64, 3 count n-vectors
 
 
 def _hoeffd_plan(n: int) -> tuple[int, int]:  # per row: 2 bool rows of n
-    return _plan(n, 2 * n, 64 * n)  # per pair: 8 int64 n-vectors
+    s = _count_type(n).itemsize
+    return _plan(n, 2 * n, (48 + 3 * s) * n)  # per pair: 6 int64, 3 count n-vectors
 
 
 # t* sums row i's n-1-i terms a(a-1) + b(b-1) <= i^2 (a + b <= i) in int64
@@ -184,16 +195,18 @@ _HOEFFD_CEILING = _largest_n(lambda n: n**4 < 2**63, 5)
 
 
 def _hoeffding_num(X: np.ndarray, Y: np.ndarray, C: np.ndarray) -> list[int]:
-    """(n-2)(n-3) D1 + D2 - 2(n-2) D3 of each row of the (P, n) arrays, exact:
-    every term is an int64 product below n^4, summed in int64 over chunks of
-    (2^63 - 1) // n^4 rows and then, past int64 from n ~ 9,000, in Python ints."""
+    """(n-2)(n-3) D1 + D2 - 2(n-2) D3 of each row of the (P, n) arrays (X may be one
+    row for all), exact: every term is an integer product below n^4, summed in int64
+    over chunks of (2^63 - 1) // n^4 points and then, past int64 from n ~ 9,000, in
+    Python ints.  The sums do not depend on the order of the points."""
     n = X.shape[1]
     step = (2**63 - 1) // n**4
     d = 0
     for lo in range(0, n, step):
         x, y, c = X[:, lo : lo + step], Y[:, lo : lo + step], C[:, lo : lo + step]
         part = [c * (c - 1), (x - 1) * (x - 2) * (y - 1) * (y - 2), (x - 2) * (y - 2) * c]
-        d = d + np.array([t.sum(1) for t in part]).astype(object)  # Python ints from here on
+        sums = np.array([t.sum(1, dtype=np.int64) for t in part])
+        d = d + sums.astype(object)  # Python ints from here on
     d1, d2, d3 = d
     return ((n - 2) * (n - 3) * d1 + d2 - 2 * (n - 2) * d3).tolist()
 
@@ -201,13 +214,19 @@ def _hoeffding_num(X: np.ndarray, Y: np.ndarray, C: np.ndarray) -> list[int]:
 def _hoeffd(X: np.ndarray, Y: np.ndarray) -> list[float]:
     """Hoeffding's D of each row pair of the (P, n) rank arrays X, Y (see hoeffding_d)."""
     P, n = X.shape
+    w = _count_type(n)
     rows = _hoeffd_plan(n)[1]
-    c = np.empty((P, n), dtype=np.int64)
-    for lo in range(0, n, rows):
-        less = X[:, None, :] < X[:, lo : lo + rows, None]
-        less &= Y[:, None, :] < Y[:, lo : lo + rows, None]
-        less.sum(axis=2, dtype=np.int64, out=c[:, lo : lo + rows])
-    return [num / math.perm(n, 5) for num in _hoeffding_num(X, Y, c)]  # n(n-1)..(n-4)
+    S = np.empty((P, n), dtype=w)  # y-ranks in x-order
+    S[np.arange(P)[:, None], X - 1] = Y
+    c = np.empty((P, n), dtype=w)
+    before = np.tri(rows, rows, -1, dtype=bool)  # s < t, where both lie in a chunk
+    for lo in range(0, n, rows):  # c of points t in [lo, hi): the s < t below them in y
+        hi = min(n, lo + rows)
+        less = S[:, None, :hi] < S[:, lo:hi, None]
+        less[:, :, lo:] &= before[: hi - lo, : hi - lo]
+        less.sum(axis=2, dtype=w, out=c[:, lo:hi])
+    x = np.arange(1, n + 1)[None]
+    return [num / math.perm(n, 5) for num in _hoeffding_num(x, S, c)]  # n(n-1)..(n-4)
 
 
 def hoeffding_d(rx, ry) -> float:
@@ -231,25 +250,27 @@ def _tstar(X: np.ndarray, Y: np.ndarray) -> list[float]:
     than points i < j, a = min(H[i, j], H[i, i]) lie above both in y and
     b = i - max(H[i, j], H[i, i]) below both: Q1 + Q2 = sum C(a,2) + C(b,2)."""
     P, n = X.shape
+    w = _count_type(n)
     rows = _tstar_plan(n)[1]
-    V = np.empty((P, n), dtype=np.int64)
+    V = np.empty((P, n), dtype=w)
     V[np.arange(P)[:, None], n - X] = n - Y
     q = [0] * P
-    for lo in range(0, n - 1, rows):  # rows i = s + 1 of points s in [lo, lo + rows); sums carried
-        i = np.arange(lo + 1, min(n, lo + rows + 1))
-        h = np.cumsum(V[:, lo : lo + i.size, None] < V[:, None, :], axis=1, dtype=np.int64)
+    after = ~np.tri(rows, rows, dtype=bool)  # j > i, where both lie in a chunk's first rows
+    for lo in range(0, n - 1, rows):  # rows i = s + 1 of points s in [lo, hi), columns j > lo
+        hi = min(n - 1, lo + rows)
+        h = np.cumsum(V[:, lo:hi, None] < V[:, None, lo + 1 :], axis=1, dtype=w)
         if lo:
-            h += carry
+            h += carry[:, :, rows:]  # the sums over s < lo, carried
         carry = h[:, -1:].copy()
-        d = np.diagonal(h[:, :, lo + 1 :], axis1=1, axis2=2)[:, :, None].copy()  # H[i, i]
+        d = np.diagonal(h, axis1=1, axis2=2)[:, :, None].copy()  # H[i, i]
         a = np.minimum(h, d)
         a *= a - 1
         np.maximum(h, d, out=h)
-        np.subtract(i[:, None], h, out=h)  # b
+        np.subtract(np.arange(lo + 1, hi + 1, dtype=w)[:, None], h, out=h)  # b
         h *= h - 1
         h += a
-        upper = np.arange(n) > i[:, None]  # the pairs i < j only
-        q = [x + sum(r) for x, r in zip(q, np.einsum("pij,ij->pi", h, upper).tolist())]
+        h[:, :, : hi - lo] *= after[: hi - lo, : hi - lo]  # the pairs i < j only
+        q = [x + sum(r) for x, r in zip(q, h.sum(axis=2, dtype=np.int64).tolist())]
     tot = math.comb(n, 4)
     return [(3 * (x // 2) - tot) / (3 * tot) for x in q]
 
@@ -478,7 +499,7 @@ def _rank_gram(ranks: np.ndarray) -> np.ndarray:
     return rf.T @ rf
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)  # a pair stage asks for one m; a caller seeing many widths holds one
 def _triu(m: int) -> tuple[np.ndarray, np.ndarray]:
     iu = np.triu_indices(m, 1)
     for a in iu:

@@ -485,9 +485,43 @@ def test_block_cores_match_subset_enumeration():
             assert [core(X[k : k + 1], Y[k : k + 1])[0] for k in range(len(X))] == want, (kid, n)
 
 
+# t* U and D U as float.hex where the count type widens: int8 -> int16 from
+# n = 12, int16 -> int32 from n = 182.  Per n: a random pair, identical columns
+# and reversed columns; identical columns give the largest a(a-1) + b(b-1) and c.
+PINNED_WIDTH_EDGES = {
+    11: ("0x1.29e4129e4129ep-2 0x1.5555555555555p-1 0x1.5555555555555p-1",
+         "0x1.f9f1136e4e2abp-8 0x1.1111111111111p-5 0x1.1111111111111p-5"),
+    12: ("-0x1.8d3018d3018d3p-6 0x1.5555555555555p-1 0x1.5555555555555p-1",
+         "-0x1.610e4ef473283p-13 0x1.1111111111111p-5 0x1.1111111111111p-5"),
+    181: ("-0x1.b2623bbc93fb3p-9 0x1.5555555555555p-1 0x1.5555555555555p-1",
+          "-0x1.8e91bcc37479ep-14 0x1.1111111111111p-5 0x1.1111111111111p-5"),
+    182: ("-0x1.cc0086ab0b846p-10 0x1.5555555555555p-1 0x1.5555555555555p-1",
+          "-0x1.61b508e9b0134p-15 0x1.1111111111111p-5 0x1.1111111111111p-5"),
+}  # fmt: skip
+
+
+def test_block_cores_pinned_where_count_type_widens():
+    for n, (want_tstar, want_hoeffd) in PINNED_WIDTH_EDGES.items():
+        rng = generator(63, n, 0)
+        x, y = rng.permutation(n) + 1, rng.permutation(n) + 1
+        X, Y = np.array([x, x, x]), np.array([y, x, n + 1 - x])
+        cases = ((pairwise._tstar, tstar, want_tstar), (pairwise._hoeffd, hoeffding_d, want_hoeffd))
+        for core, scalar, want in cases:
+            assert [v.hex() for v in core(X, Y)] == want.split(), (n, scalar.__name__)
+            assert [scalar(a, b).hex() for a, b in zip(X, Y)] == want.split(), (n, scalar.__name__)
+
+
+def test_count_type_holds_n_squared_and_widens_after():
+    for n, width in ((11, np.int8), (181, np.int16), (46_340, np.int32)):
+        info = np.iinfo(pairwise._count_type(n))
+        assert pairwise._count_type(n) == width and info.min <= -(n * n) and n * n <= info.max, n
+        assert np.iinfo(pairwise._count_type(n + 1)).bits == 2 * info.bits, n
+    assert pairwise._count_type(pairwise._TSTAR_CEILING) == np.int64
+
+
 def test_block_budget_does_not_change_bits(monkeypatch):
-    # a few bytes give blocks of one pair and chunks of one row; 4 KiB and
-    # 64 KiB split t*'s rows into chunks and D's pairs into blocks of several
+    # a few bytes give blocks of one pair and chunks of one row; 4 KiB splits
+    # D's rows and 64 KiB t*'s rows into chunks and D's pairs into blocks of several
     rm = _random_ranks(54, 37, 7)
     reqs = [(KernelId.T_STAR, "U"), (KernelId.HOEFF_D, "U")]
     want = pair_statistics(rm, reqs)
@@ -499,21 +533,33 @@ def test_block_budget_does_not_change_bits(monkeypatch):
             got = pair_statistics(rm, reqs, threads)
             for req in reqs:
                 assert got[req].values.tobytes() == want[req].values.tobytes(), (budget, threads, req)
-    assert {(1, 1), (1, 8), (3, 37)} <= plans  # (pairs per block, rows per chunk)
+    assert {(1, 1), (1, 6), (1, 27), (3, 37)} <= plans  # (pairs per block, rows per chunk)
 
 
 def test_block_core_memory_is_bounded():
     # every live array of a block is counted against the budget, and t* chunks
-    # its rows; the per-pair path peaked at about 4.5 MiB for t* here
-    rm = _random_ranks(53, 256, 24)
-    for kid in (KernelId.T_STAR, KernelId.HOEFF_D):
-        tracemalloc.start()
-        try:
-            all_pairs(rm, kid, "U")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < pairwise.BYTE_BUDGET, (kid, peak)
+    # its rows; the per-pair path peaked at about 4.5 MiB for t* at (256, 24)
+    for n, m in ((64, 12), (256, 24)):
+        rm = _random_ranks(53, n, m)
+        for kid in (KernelId.T_STAR, KernelId.HOEFF_D):
+            tracemalloc.start()
+            try:
+                all_pairs(rm, kid, "U")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < pairwise.BYTE_BUDGET, (n, m, kid, peak)
+
+
+def test_triu_cache_holds_one_width():
+    # each width's C(m, 2) index arrays are dropped when the next width comes
+    bound = pairwise._triu.cache_info().maxsize
+    assert bound == 1
+    for m in range(2, 30):
+        rm = _random_ranks(56, 8, m)
+        pair_statistics(rm, [(KernelId.TAU, "U"), (KernelId.T_STAR, "U")])
+        all_pairs_spearman(rm)
+        assert pairwise._triu.cache_info().currsize == bound, m
 
 
 def test_pair_stage_calls_block_cores_per_block(monkeypatch):
