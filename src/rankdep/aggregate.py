@@ -135,11 +135,14 @@ def z_stat(pairs: PairStatistics) -> float:
     return math.fsum(pairs.values.tolist())
 
 
+def centered_square_sum(v: np.ndarray, n: int, m: int) -> float:
+    """Sum of the squared correlations v of m variables, less its null mean C(m,2)/(n-1)."""
+    return math.fsum((v * v).tolist()) - float(Fraction(math.comb(m, 2), n - 1))
+
+
 def s_rho_s(ranks: RankMatrix) -> float:
     """Centered sum of squared Spearman correlations."""
-    v = all_pairs_spearman(ranks)
-    center = Fraction(math.comb(ranks.m, 2), ranks.n - 1)
-    return math.fsum((v * v).tolist()) - float(center)
+    return centered_square_sum(all_pairs_spearman(ranks), ranks.n, ranks.m)
 
 
 def s_max_tau(pairs: PairStatistics) -> float:

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .aggregate import statistic_from_name
-from .calibrate import ASYMPTOTIC, MonteCarlo, run_tests
+from .calibrate import ASYMPTOTIC, Method, MonteCarlo, run_tests
 from .errors import (
     ConfigError,
     ExactnessCeiling,
@@ -105,6 +105,10 @@ def _write_out(text: str, out: str | None) -> None:
             f.write(text)
 
 
+def _method(name: str, reps: int, seed: int) -> Method:
+    return MonteCarlo(reps=reps, seed=seed) if name == "montecarlo" else ASYMPTOTIC
+
+
 def cmd_test(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     data = read_csv_matrix(args.data)
@@ -114,10 +118,7 @@ def cmd_test(args) -> int:
     except ValueError as e:
         raise ParseError(str(e)) from e
     stats = [statistic_from_name(s) for s in _split_stats(args.stats)]
-    if args.method == "montecarlo":
-        method = MonteCarlo(reps=args.reps, seed=seed)
-    else:
-        method = ASYMPTOTIC
+    method = _method(args.method, args.reps, seed)
     results = run_tests(ranks, stats, alpha=args.alpha, method=method, threads=args.threads)
     report = {"schema": REPORT_SCHEMA, "results": [r.to_dict() for r in results]}
     if args.method == "asymptotic" and ranks.n < 32:
@@ -152,10 +153,7 @@ def cmd_simulate(args) -> int:
     )
     names = _split_stats(args.stats)
     stats = [name if name == PEARSON else statistic_from_name(name) for name in names]
-    if args.method == "montecarlo":
-        method = MonteCarlo(reps=args.mc_reps, seed=seed)
-    else:
-        method = ASYMPTOTIC
+    method = _method(args.method, args.mc_reps, seed)
     rows = run_experiment(
         scenario, stats, reps=args.reps, alpha=args.alpha, method=method, threads=args.threads
     )

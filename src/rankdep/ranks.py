@@ -4,6 +4,10 @@ Ranks are 1-based and each column of a ranked matrix is a permutation of
 1..n.  Downstream statistics consume only these ranks, which is what makes
 the tests invariant under strictly increasing transformations of each
 variable.
+
+One sort of the (m, n) transpose ranks all columns and finds their ties: equal
+neighbours in a sorted column, reported with the value in the earlier row.
+TiesPresent names the first tied column and its smallest tied value.
 """
 
 from __future__ import annotations
@@ -81,33 +85,34 @@ def _as_matrix(data) -> np.ndarray:
     return x
 
 
+def _sort_columns(x: np.ndarray, tie_policy: TiePolicy) -> tuple[np.ndarray, list]:
+    """(order, ties) of the columns of ``x``, from one sort of its transpose.
+
+    order[j] lists column j's rows in rank order.  ties lists (column, value)
+    once per value repeated in a column; under JitterWithSeed there are none.
+    """
+    xt = np.ascontiguousarray(x.T)
+    if isinstance(tie_policy, JitterWithSeed):  # column j's keys: mix_key(seed, j), then row
+        column_keys = _rng.splitmix64_array(_rng.mix_key(tie_policy.seed), np.arange(len(xt)))
+        return np.lexsort((_rng.splitmix64_array(column_keys[:, None], np.arange(xt.shape[1])), xt)), []
+    order = np.argsort(xt, axis=1, kind="stable")
+    s = np.take_along_axis(xt, order, axis=1)
+    first = s[:, 1:] == s[:, :-1]
+    first[:, 1:] &= ~first[:, :-1]  # keep the first pair of each run of equal values
+    cols, pos = np.nonzero(first)
+    return order, [(int(j), float(v)) for j, v in zip(cols, s[cols, pos])]
+
+
 def detect_ties(data) -> list[tuple[int, float]]:
     """List (column, value) for every value duplicated within a column."""
-    x = _as_matrix(data)
-    out = []
-    for j in range(x.shape[1]):
-        vals, counts = np.unique(x[:, j], return_counts=True)
-        for v in vals[counts > 1]:
-            out.append((j, float(v)))
-    return out
+    return _sort_columns(_as_matrix(data), REJECT)[1]
 
 
 def compute_ranks(data, tie_policy: TiePolicy = REJECT) -> RankMatrix:
     """Rank each column of ``data``; ties handled per ``tie_policy``."""
-    x = _as_matrix(data)
-    n, m = x.shape
-    ranks = np.empty((n, m), dtype=np.int64)
-    rows = np.arange(n)
-    for j in range(m):
-        col = x[:, j]
-        if isinstance(tie_policy, JitterWithSeed):
-            keys = _rng.splitmix64_array(_rng.mix_key(tie_policy.seed, j), rows)
-            order = np.lexsort((keys, col))
-        else:
-            vals, counts = np.unique(col, return_counts=True)
-            dup = counts > 1
-            if dup.any():
-                raise TiesPresent(j, float(vals[dup][0]))
-            order = np.argsort(col, kind="stable")
-        ranks[order, j] = rows + 1
+    order, ties = _sort_columns(_as_matrix(data), tie_policy)
+    if ties:
+        raise TiesPresent(*ties[0])
+    ranks = np.empty(order.shape[::-1], dtype=np.int64)
+    ranks[order.T, np.arange(len(order))] = np.arange(1, order.shape[1] + 1)[:, None]
     return RankMatrix(ranks)

@@ -16,6 +16,10 @@ Kendall tau of a correlated pair exactly theta.
 Determinism: replicate r of a scenario draws from streams keyed by
 (seed, r, purpose); purpose 0 is the base draw, 1 the contamination, 2 the
 tie-breaking jitter.  Changing thread count changes nothing.
+
+s_pearson, the Pearson-correlation baseline of Schott (2005), is s_rho_s's
+centered sum of squares on the data's Pearson correlations, calibrated exactly
+as s_rho_s is; having no permutation null, it supports only asymptotic calibration.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _rng
-from .aggregate import StatisticId, check_sample_size, statistic_from_name
+from .aggregate import StatisticId, centered_square_sum, check_sample_size, rescale, statistic_from_name
 from .calibrate import ASYMPTOTIC, Method, MonteCarlo, montecarlo_nulls, normal_pvalue, run_tests
 from .errors import ConfigError, InfeasibleSignal, NotPositiveDefinite
 from .ranks import JitterWithSeed, compute_ranks
@@ -36,7 +40,7 @@ from .ranks import JitterWithSeed, compute_ranks
 SCATTER_KINDS = ("identity", "equicorrelation", "pentadiagonal")
 FAMILIES = ("mvn", "mvt", "iid-null", "contaminated-mvn")
 
-PEARSON = "s_pearson"  # harness-only utility statistic, normal-calibrated
+PEARSON = "s_pearson"  # harness-only baseline, calibrated as s_rho_s
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,11 @@ class ScatterSpec:
             ) from None
 
 
+@lru_cache(maxsize=32)
+def _cached_cholesky(kind: str, m: int, rho: float):
+    return ScatterSpec(kind, m, rho).cholesky()
+
+
 def _pair_count(kind: str, m: int) -> int:
     return math.comb(m, 2) if kind == "equicorrelation" else 2 * m - 3
 
@@ -96,7 +105,7 @@ def signal_to_rho(signal: float, scatter_kind: str, m: int) -> float:
         raise InfeasibleSignal(f"signal {signal} needs theta >= 1 at m={m}")
     rho = math.sin(math.pi * theta / 2.0)
     try:
-        ScatterSpec(scatter_kind, m, rho).cholesky()
+        _cached_cholesky(scatter_kind, m, rho)
     except NotPositiveDefinite as e:
         raise InfeasibleSignal(str(e)) from None
     return rho
@@ -122,11 +131,6 @@ class SimScenario:
             raise ConfigError(f"mvt needs df >= 1, got {self.df}")
         if not 0.0 <= self.contam_fraction <= 1.0:
             raise ConfigError("contamination fraction must lie in [0, 1]")
-
-
-@lru_cache(maxsize=32)
-def _cached_cholesky(kind: str, m: int, rho: float):
-    return ScatterSpec(kind, m, rho).cholesky()
 
 
 def gen_dataset(scenario: SimScenario, replicate: int) -> np.ndarray:
@@ -172,12 +176,11 @@ class ExperimentRow:
     se: float
 
 
-def _pearson_sum(data: np.ndarray) -> float:
+def _pearson_pvalue(data: np.ndarray) -> float:
+    """s_pearson's p-value: s_rho_s's aggregate and calibration on Pearson correlations."""
     n, m = data.shape
-    corr = np.corrcoef(data, rowvar=False)
-    iu = np.triu_indices(m, 1)
-    v = corr[iu]
-    return math.fsum((v * v).tolist()) - math.comb(m, 2) / (n - 1)
+    raw = centered_square_sum(np.corrcoef(data, rowvar=False)[np.triu_indices(m, 1)], n, m)
+    return normal_pvalue(rescale(statistic_from_name("s_rho_s"), raw, n, m).rescaled)
 
 
 def run_experiment(
@@ -193,14 +196,7 @@ def run_experiment(
         raise ConfigError(f"reps must be positive, got {reps}")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    sids: list[StatisticId | str] = []
-    for s in statistics:
-        if isinstance(s, StatisticId):
-            sids.append(s)
-        elif s == PEARSON:
-            sids.append(PEARSON)
-        else:
-            sids.append(statistic_from_name(s))
+    sids = [s if isinstance(s, StatisticId) or s == PEARSON else statistic_from_name(s) for s in statistics]
     if not sids:
         raise ConfigError("no statistics requested")
     # fail fast on an infeasible scenario before burning replicates
@@ -221,10 +217,7 @@ def run_experiment(
         ranks = compute_ranks(data, JitterWithSeed(_rng.mix_key(scenario.seed, r, 2)))
         results = iter(run_tests(ranks, rank_stats, alpha, method, threads, tables))
         for i, sid in enumerate(sids):
-            if sid == PEARSON:
-                pvals[i, r] = normal_pvalue(_pearson_sum(data) * n / m)
-            else:
-                pvals[i, r] = next(results).p_value
+            pvals[i, r] = _pearson_pvalue(data) if sid == PEARSON else next(results).p_value
 
     method_name = "montecarlo" if isinstance(method, MonteCarlo) else "asymptotic"
     rows = []

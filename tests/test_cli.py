@@ -248,3 +248,29 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"][0]["statistic"] == "z_rho_hat"
+
+
+def test_simulate_csv_with_s_pearson_pinned(capsys):
+    # bytes recorded before s_pearson was calibrated through rescale(s_rho_s)
+    rc = main([
+        "simulate", "--family", "mvn", "--scatter", "equicorrelation", "--signal", "0.3",
+        "-n", "24", "-m", "6", "--reps", "60", "--stats", "s_tau,s_rho_s,s_pearson", "--seed", "4",
+    ])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "statistic,n,m,family,scatter,signal,alpha,method,reps,reject_rate,se\n"
+        "s_tau,24,6,mvn,equicorrelation,0.3,0.05,asymptotic,60,0.6166666666666667,0.06276794416591015\n"
+        "s_rho_s,24,6,mvn,equicorrelation,0.3,0.05,asymptotic,60,0.5833333333333334,0.06364688465216445\n"
+        "s_pearson,24,6,mvn,equicorrelation,0.3,0.05,asymptotic,60,0.6166666666666667,0.06276794416591015\n"
+    )
+
+
+def test_simulate_mc_reps_checked_after_stats_before_sample_size(capsys):
+    base = ["simulate", "--family", "mvn", "-n", "3", "-m", "4", "--reps", "5",
+            "--method", "montecarlo", "--mc-reps", "0"]
+    assert main(base + ["--stats", "s_bogus"]) == 3
+    assert "unknown statistic 's_bogus'" in capsys.readouterr().err
+    assert main(base + ["--stats", "t_tau"]) == 3
+    assert capsys.readouterr().err == "error: reps must be positive, got 0\n"
+    assert main(base + ["--stats", "s_pearson", "--mc-reps", "9"]) == 3
+    assert capsys.readouterr().err == "error: s_pearson supports only asymptotic calibration\n"

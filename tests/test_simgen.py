@@ -18,10 +18,13 @@ from rankdep import (
     gen_dataset,
     kendall_tau_fast,
     run_experiment,
+    run_test,
     signal_to_rho,
+    statistic_from_name,
     write_experiment_csv,
 )
 from rankdep.ranks import JitterWithSeed
+from rankdep.simgen import _cached_cholesky, _pearson_pvalue
 
 
 def test_scatter_matrices():
@@ -204,3 +207,22 @@ def test_experiment_csv_schema():
     assert len(lines) == 2
     cells = lines[1].split(",")
     assert cells[0] == "z_tau" and cells[3] == "mvn" and cells[4] == "pentadiagonal"
+
+
+def test_s_pearson_is_calibrated_as_s_rho_s():
+    # on rank data Pearson's r is Spearman's rho, so the two p-values agree
+    for seed in range(5):
+        sc = SimScenario("mvn", 30, 5, scatter="equicorrelation", signal=0.4, seed=seed)
+        ranks = compute_ranks(gen_dataset(sc, 0))
+        rho_s = run_test(ranks, statistic_from_name("s_rho_s"))
+        assert _pearson_pvalue(ranks.ranks.astype(float)) == pytest.approx(rho_s.p_value, rel=1e-9)
+
+
+def test_scatter_factored_once_per_scenario(monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+    _cached_cholesky.cache_clear()
+    sc = SimScenario("mvt", 20, 7, scatter="pentadiagonal", signal=0.5, seed=2)
+    run_experiment(sc, ["s_tau", PEARSON], reps=4)
+    assert calls == [(7, 7)]
