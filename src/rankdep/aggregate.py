@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, SampleTooSmall, UnknownConstant
 from .kernels import DEGREE, KernelId, mu_h_exact
-from .pairwise import PairStatistics, all_pairs_spearman, pair_statistics
+from .pairwise import PairStatistics, all_pairs_spearman, stacked_pair_values, stacked_spearman
 from .ranks import RankMatrix
 
 
@@ -114,30 +114,43 @@ def _check_pairs(pairs: PairStatistics, kind: str, what: str) -> None:
         raise ValueError(f"{what}: expected {npairs} pair values")
 
 
+def _reduce(statistic: StatisticId, values: np.ndarray, n: int, m: int) -> list[float]:
+    """The raw statistic of each row of (depth, C(m,2)) pair values: S and S_RHO_S the
+    fsum of the squares less C(m,2) times the null mean of one square, T and Z the
+    fsum, S_MAX_TAU the largest absolute value."""
+    kind = statistic.kind
+    if kind is StatKind.S_MAX_TAU:
+        return np.abs(values).max(axis=1).tolist()
+    if kind is StatKind.S or kind is StatKind.S_RHO_S:
+        mean = Fraction(1, n - 1) if kind is StatKind.S_RHO_S else mu_h_exact(statistic.kernel, n)
+        center = float(math.comb(m, 2) * mean)
+        return [math.fsum(row.tolist()) - center for row in values * values]
+    return [math.fsum(row.tolist()) for row in values]
+
+
 def s_stat(pairs: PairStatistics) -> float:
     """Sum of squared U-statistics minus its exact null mean."""
     _check_pairs(pairs, "U", "s_stat")
-    check_sample_size([StatisticId(StatKind.S, pairs.kernel)], pairs.n)
-    center = math.comb(pairs.m, 2) * mu_h_exact(pairs.kernel, pairs.n)
-    v = pairs.values
-    return math.fsum((v * v).tolist()) - float(center)
+    statistic = StatisticId(StatKind.S, pairs.kernel)
+    check_sample_size([statistic], pairs.n)
+    return _reduce(statistic, pairs.values[None], pairs.n, pairs.m)[0]
 
 
 def t_stat(pairs: PairStatistics) -> float:
     """Sum of W-statistics over all pairs."""
     _check_pairs(pairs, "W", "t_stat")
-    return math.fsum(pairs.values.tolist())
+    return _reduce(StatisticId(StatKind.T, pairs.kernel), pairs.values[None], pairs.n, pairs.m)[0]
 
 
 def z_stat(pairs: PairStatistics) -> float:
     """Plain sum of U-statistics (sensitive to positive association only)."""
     _check_pairs(pairs, "U", "z_stat")
-    return math.fsum(pairs.values.tolist())
+    return _reduce(StatisticId(StatKind.Z, pairs.kernel), pairs.values[None], pairs.n, pairs.m)[0]
 
 
 def centered_square_sum(v: np.ndarray, n: int, m: int) -> float:
     """Sum of the squared correlations v of m variables, less its null mean C(m,2)/(n-1)."""
-    return math.fsum((v * v).tolist()) - float(Fraction(math.comb(m, 2), n - 1))
+    return _reduce(NAMED_STATISTICS["s_rho_s"], v[None], n, m)[0]
 
 
 def s_rho_s(ranks: RankMatrix) -> float:
@@ -150,11 +163,11 @@ def s_max_tau(pairs: PairStatistics) -> float:
     _check_pairs(pairs, "U", "s_max_tau")
     if pairs.kernel is not KernelId.TAU:
         raise ValueError("s_max_tau is defined on Kendall tau pairs")
-    return float(np.abs(pairs.values).max())
+    return _reduce(NAMED_STATISTICS["s_max_tau"], pairs.values[None], pairs.n, pairs.m)[0]
 
 
 def pair_requirement(statistic: StatisticId) -> tuple[KernelId, str] | None:
-    """Which all_pairs result a statistic consumes (None: works on ranks)."""
+    """Which pair-stage result a statistic consumes (None: Spearman's rho)."""
     if statistic.kind is StatKind.S_RHO_S:
         return None
     if statistic.kind is StatKind.S_MAX_TAU:
@@ -164,33 +177,30 @@ def pair_requirement(statistic: StatisticId) -> tuple[KernelId, str] | None:
     return (statistic.kernel, "U")
 
 
-def raw_from_pairs(statistic: StatisticId, pairs: PairStatistics) -> float:
-    if statistic.kind is StatKind.S:
-        return s_stat(pairs)
-    if statistic.kind is StatKind.T:
-        return t_stat(pairs)
-    if statistic.kind is StatKind.Z:
-        return z_stat(pairs)
-    if statistic.kind is StatKind.S_MAX_TAU:
-        return s_max_tau(pairs)
-    raise ValueError(f"{statistic} does not consume pair statistics")
+def stacked_raw_statistics(stack: np.ndarray, statistics, threads: int = 1) -> list[list[float]]:
+    """Raw (unrescaled) values of several statistics on each matrix of a
+    (depth, n, m) stack of rank matrices: one list of depth values per statistic.
 
-
-def raw_statistics(ranks: RankMatrix, statistics, threads: int = 1) -> list[float]:
-    """Raw (unrescaled) values of several statistics on one rank matrix.
-
-    Statistics are grouped by pair_requirement, and one pair_statistics call
-    computes each pair result once; ``threads`` splits its per-pair loop.
-    Values equal raw_statistic's one by one.
+    Statistics are grouped by pair_requirement, and one stacked_pair_values call
+    computes each pair result once for the whole stack; ``threads`` splits its
+    list of pairs.  Each matrix's values are reduced on their own, so they do
+    not depend on the stack they came in.
     """
     stats = list(statistics)
-    check_sample_size(stats, ranks.n)
-    pairs = pair_statistics(ranks, {pair_requirement(s) for s in stats} - {None}, threads)
+    depth, n, m = stack.shape
+    check_sample_size(stats, n)
+    pairs = stacked_pair_values(stack, {pair_requirement(s) for s in stats} - {None}, threads)
     raws = []
     for statistic in stats:
         req = pair_requirement(statistic)
-        raws.append(s_rho_s(ranks) if req is None else raw_from_pairs(statistic, pairs[req]))
+        raws.append(_reduce(statistic, stacked_spearman(stack) if req is None else pairs[req], n, m))
     return raws
+
+
+def raw_statistics(ranks: RankMatrix, statistics, threads: int = 1) -> list[float]:
+    """Raw values of several statistics on one rank matrix: stacked_raw_statistics
+    on a stack of one.  Values equal raw_statistic's one by one."""
+    return [row[0] for row in stacked_raw_statistics(ranks.ranks[None], statistics, threads)]
 
 
 def raw_statistic(ranks: RankMatrix, statistic: StatisticId) -> float:

@@ -7,9 +7,13 @@ to F(t) = exp(-exp(-t/2) / sqrt(8 pi)).
 
 The Monte Carlo path draws `reps` independent permutation datasets (each
 column its own Fisher-Yates stream keyed by (seed, replicate, column), drawn
-by re-keying one Philox per dataset, so results are reproducible and
-thread-count independent), evaluates the raw statistic on each, and uses
-the add-one estimator p = (1 + #{null >= observed}) / (reps + 1).
+by re-keying one Philox per dataset), evaluates the raw statistic on each,
+and uses the add-one estimator p = (1 + #{null >= observed}) / (reps + 1).
+Replicates go through the pair stage in batches: one (depth, n, m) stack of
+consecutive replicates at a time, as many as pairwise.stack_depth fits in
+its byte budget.  Every value is exact-integer up to one rounding and each
+replicate is reduced on its own, so a table does not depend on the batches
+or on the thread count.
 """
 
 from __future__ import annotations
@@ -25,8 +29,10 @@ from .aggregate import (
     check_sample_size,
     raw_statistics,
     rescale,
+    stacked_raw_statistics,
 )
 from .errors import ConfigError, DomainError
+from .pairwise import stack_depth
 from .ranks import RankMatrix
 
 
@@ -94,13 +100,23 @@ class NullTable:
         return float(self.values[idx])
 
 
+def _permutation_stack(n: int, m: int, seed: int, replicates: range) -> np.ndarray:
+    """(depth, n, m) stack of permutation_ranks(n, m, seed, r).ranks for r in
+    replicates, unchecked: its columns are permutations by construction."""
+    cols = np.empty((len(replicates), m, n), dtype=np.int64)
+    for b, r in enumerate(replicates):
+        cols[b] = _rng.permutations(n, m, seed, r)
+    cols += 1
+    return cols.transpose(0, 2, 1)
+
+
 def permutation_ranks(n: int, m: int, seed: int, replicate: int) -> RankMatrix:
     """Independent uniform rank columns, keyed by (seed, replicate, column).
 
     Column c is _rng.generator(seed, replicate, c).permutation(n) + 1, drawn
     by one re-keyed Philox for the whole dataset (_rng.permutations).
     """
-    return RankMatrix(_rng.permutations(n, m, seed, replicate).T + 1)
+    return RankMatrix(_permutation_stack(n, m, seed, range(replicate, replicate + 1))[0])
 
 
 def montecarlo_nulls(
@@ -115,7 +131,10 @@ def montecarlo_nulls(
 
     Each permutation dataset is drawn once and all statistics are evaluated
     on it together, so table i equals montecarlo_null(statistics[i], ...).
-    Replicates run in order; ``threads`` splits each one's per-pair loop.
+    Replicates run in batches of consecutive ones, each batch one stack
+    through stacked_raw_statistics; ``threads`` splits a batch's list of
+    pairs.  Replicate r's value equals raw_statistics(permutation_ranks(n, m,
+    seed, r), ...) bitwise.
     """
     stats = list(statistics)
     if reps < 1:
@@ -123,8 +142,13 @@ def montecarlo_nulls(
     if m < 2:
         raise ConfigError(f"need m >= 2 columns, got {m}")
     check_sample_size(stats, n)
-    raws = [raw_statistics(permutation_ranks(n, m, seed, r), stats, threads) for r in range(reps)]
-    vals = np.sort(np.array(raws, dtype=np.float64).T, axis=1)
+    depth = min(reps, stack_depth(n, m))
+    raws = [[] for _ in stats]
+    for lo in range(0, reps, depth):
+        stack = _permutation_stack(n, m, seed, range(lo, min(reps, lo + depth)))
+        for acc, row in zip(raws, stacked_raw_statistics(stack, stats, threads)):
+            acc.extend(row)
+    vals = np.sort(np.array(raws, dtype=np.float64).reshape(len(stats), reps), axis=1)
     return [
         NullTable(statistic=statistic, n=n, m=m, reps=reps, seed=seed, values=values)
         for statistic, values in zip(stats, vals)

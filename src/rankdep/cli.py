@@ -112,11 +112,7 @@ def _method(name: str, reps: int, seed: int) -> Method:
 def cmd_test(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     data = read_csv_matrix(args.data)
-    try:
-        policy = JitterWithSeed(seed) if args.ties == "jitter" else REJECT
-        ranks = compute_ranks(data, policy)
-    except ValueError as e:
-        raise ParseError(str(e)) from e
+    ranks = compute_ranks(data, JitterWithSeed(seed) if args.ties == "jitter" else REJECT)
     stats = [statistic_from_name(s) for s in _split_stats(args.stats)]
     method = _method(args.method, args.reps, seed)
     results = run_tests(ranks, stats, alpha=args.alpha, method=method, threads=args.threads)

@@ -7,17 +7,23 @@ the float type (2^24 for float32 sign products, 2^53 for float64), and the
 naive oracles enumerate subsets with rational arithmetic.  Exactness is what
 makes results bit-identical regardless of thread count.
 
-pair_statistics is the one entry to the all-pairs stage and the one place
-that checks it: each requested (kernel, kind) against its minimum n (k for
-U, 2k for W) and its _ceiling, before any engine runs.  It runs one engine
-per algebraic form, the last two over at most ``threads`` contiguous ranges
-of pairs: the package's only thread pool.  Scalar functions check their own
-input.
+stacked_pair_values is the one pair stage: it takes a (depth, n, m) stack of
+rank matrices (a stack of one for pair_statistics, a batch of permutation
+replicates for the Monte Carlo null) and is the one place that checks it:
+each requested (kernel, kind) against its minimum n (k for U, 2k for W) and
+its _ceiling, before any engine runs.  It runs one engine per algebraic form,
+the last two over the stack's depth C(m,2) column pairs split into at most
+``threads`` contiguous ranges: the package's only thread pool.  Scalar
+functions check their own input.
 
 - Tau Gram, tau_family_pairs: tau U, rho_hat U and tau W from the sign
-  products sign(R_ip - R_jp) sign(R_iq - R_jq), streamed as float32 rows
-  through GEMMs in slabs of at most BYTE_BUDGET bytes (1 MiB; at least one
-  n x m row block for W) and 2^24 rows, which keeps each product exact.
+  products sign(R_ip - R_jp) sign(R_iq - R_jq).  The stack's matrices sit
+  side by side as one (n, depth m) float32 array, so one subtraction forms a
+  row of signs for the whole stack.  Rows are streamed in slabs of at most
+  half of BYTE_BUDGET (at least one n x depth m row block for W) and 2^24
+  rows, and each slab adds the depth diagonal m x m blocks of its Gram by one
+  stacked GEMM, which keeps each product exact.  stack_depth sizes a stack so
+  that its other arrays fit the other half.
 - Dominance count, _tstar and _hoeffd: t* U and D U on a block of P column
   pairs given as two (P, n) rank arrays, in whole-array numpy calls.  Every
   per-element count is held in _count_type(n), the narrowest signed integer
@@ -183,6 +189,18 @@ def _tstar_plan(n: int) -> tuple[int, int]:  # per row: 2 bool and 3 count rows 
     return _plan(n - 1, (2 + 3 * s) * n, (24 + 3 * s) * n)  # per pair: 3 int64, 3 count n-vectors
 
 
+def _tstar_chunks(n: int) -> list[tuple[int, int]]:
+    """_tstar's row chunks [lo, hi).  The chunk at lo has n - 1 - lo columns, so it takes
+    as many rows as fill the bytes _tstar_plan gave its rows of n (at least one)."""
+    rows = _tstar_plan(n)[1]
+    chunks, lo = [], 0
+    while lo < n - 1:
+        hi = min(n - 1, lo + max(1, rows * n // (n - 1 - lo)))
+        chunks.append((lo, hi))
+        lo = hi
+    return chunks
+
+
 def _hoeffd_plan(n: int) -> tuple[int, int]:  # per row: 2 bool rows of n
     s = _count_type(n).itemsize
     return _plan(n, 2 * n, (48 + 3 * s) * n)  # per pair: 6 int64, 3 count n-vectors
@@ -251,16 +269,17 @@ def _tstar(X: np.ndarray, Y: np.ndarray) -> list[float]:
     b = i - max(H[i, j], H[i, i]) below both: Q1 + Q2 = sum C(a,2) + C(b,2)."""
     P, n = X.shape
     w = _count_type(n)
-    rows = _tstar_plan(n)[1]
+    chunks = _tstar_chunks(n)
     V = np.empty((P, n), dtype=w)
     V[np.arange(P)[:, None], n - X] = n - Y
     q = [0] * P
+    rows = max(hi - lo for lo, hi in chunks)
     after = ~np.tri(rows, rows, dtype=bool)  # j > i, where both lie in a chunk's first rows
-    for lo in range(0, n - 1, rows):  # rows i = s + 1 of points s in [lo, hi), columns j > lo
-        hi = min(n - 1, lo + rows)
+    for lo, hi in chunks:  # rows i = s + 1 of points s in [lo, hi), columns j > lo
         h = np.cumsum(V[:, lo:hi, None] < V[:, None, lo + 1 :], axis=1, dtype=w)
         if lo:
-            h += carry[:, :, rows:]  # the sums over s < lo, carried
+            h += carry[:, :, lo - prev:]  # the sums over s < lo, carried
+        prev = lo
         carry = h[:, -1:].copy()
         d = np.diagonal(h, axis1=1, axis2=2)[:, :, None].copy()  # H[i, i]
         a = np.minimum(h, d)
@@ -444,24 +463,38 @@ def _ceiling(kernel: KernelId, kind: str) -> int:
     return {KernelId.T_STAR: _TSTAR_CEILING, KernelId.HOEFF_D: _HOEFFD_CEILING}[kernel]
 
 
-def _slab_rows(m: int) -> int:
-    rows = max(1, BYTE_BUDGET // (4 * m))  # float32 sign rows
+def _slab_rows(width: int) -> int:
+    rows = max(1, BYTE_BUDGET // 2 // (4 * width))  # float32 sign rows in half the budget
     # a slab's column products sum at most `rows` terms of +-1, exact in float32
     assert rows <= _F32_EXACT
     return rows
 
 
-def _tau_gram(rf: np.ndarray) -> np.ndarray:
-    """G = n(n-1) tau for every column pair, from the i < j sign rows only."""
-    n, m = rf.shape
-    cap = _slab_rows(m)
-    slab = np.empty((min(cap, n * (n - 1) // 2), m), dtype=np.float32)
-    g = np.zeros((m, m), dtype=np.float64)
+def stack_depth(n: int, m: int) -> int:
+    """How many (n, m) rank matrices one stack holds: as many as fit the half of
+    BYTE_BUDGET that the sign slab leaves (at least one), counting for each its
+    ranks twice and four m x m Grams or scaled copies, all in 8-byte words."""
+    return max(1, BYTE_BUDGET // 2 // (8 * m * (2 * n + 4 * m)))
+
+
+def _gram(a: np.ndarray) -> np.ndarray:
+    """a^T a of each matrix in a stack (..., rows, m): one stacked GEMM."""
+    return np.swapaxes(a, -1, -2) @ a
+
+
+def _tau_gram(rf: np.ndarray, depth: int) -> np.ndarray:
+    """G = n(n-1) tau for every column pair of the ``depth`` matrices side by side in
+    rf, (n, depth m): a (depth, m, m) array, from the i < j sign rows only."""
+    n, width = rf.shape
+    m = width // depth
+    cap = _slab_rows(width)
+    slab = np.empty((min(cap, n * (n - 1) // 2), width), dtype=np.float32)
+    g = np.zeros((depth, m, m), dtype=np.float64)
     fill = 0
 
     def flush(rows):
         np.copysign(1.0, rows, out=rows, dtype=np.float32)
-        np.add(g, rows.T @ rows, out=g)
+        np.add(g, _gram(rows.reshape(len(rows), depth, m).transpose(1, 0, 2)), out=g)
 
     for i in range(n - 1):
         lo = i + 1
@@ -477,26 +510,27 @@ def _tau_gram(rf: np.ndarray) -> np.ndarray:
     return 2.0 * g
 
 
-def _tau_rows(rf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G = sum_i g_i and sum_i g_i**2 (elementwise), blocks of rows i at a time."""
-    n, m = rf.shape
-    step = max(1, _slab_rows(m) // n)
-    g = np.zeros((m, m), dtype=np.float64)
-    g2 = np.zeros((m, m), dtype=np.float64)
+def _tau_rows(rf: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """G = sum_i g_i and sum_i g_i**2 (elementwise) of each of the ``depth`` matrices
+    side by side in rf, (n, depth m), blocks of rows i at a time."""
+    n, width = rf.shape
+    m = width // depth
+    step = max(1, _slab_rows(width) // n)
+    g = np.zeros((depth, m, m), dtype=np.float64)
+    g2 = np.zeros((depth, m, m), dtype=np.float64)
     for lo in range(0, n, step):
         rows = np.arange(min(step, n - lo))
-        b = rf[lo : lo + rows.size, None, :] - rf[None, :, :]  # (rows, n, m)
+        b = rf[lo : lo + rows.size, None, :] - rf[None, :, :]  # (rows, n, depth m)
         np.copysign(1.0, b, out=b, dtype=np.float32)
         b[rows, lo + rows, :] = 0.0
-        gi = (b.transpose(0, 2, 1) @ b).astype(np.float64)
+        gi = _gram(b.reshape(rows.size, n, depth, m).transpose(0, 2, 1, 3)).astype(np.float64)
         g += gi.sum(axis=0)
-        g2 += np.einsum("kpq,kpq->pq", gi, gi)
+        g2 += np.einsum("kbpq,kbpq->bpq", gi, gi)
     return g, g2
 
 
-def _rank_gram(ranks: np.ndarray) -> np.ndarray:
-    rf = ranks.astype(np.float64)
-    return rf.T @ rf
+def _rank_gram(stack: np.ndarray) -> np.ndarray:
+    return _gram(stack.astype(np.float64))
 
 
 @lru_cache(maxsize=1)  # a pair stage asks for one m; a caller seeing many widths holds one
@@ -507,44 +541,51 @@ def _triu(m: int) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
-def _upper(mat: np.ndarray, m: int) -> np.ndarray:
-    return mat[_triu(m)]
+def _upper(mats: np.ndarray) -> np.ndarray:
+    """The (depth, C(m,2)) upper triangles of a (depth, m, m) stack, (p,q) lex order."""
+    p, q = _triu(mats.shape[-1])
+    return mats[:, p, q]
 
 
-def all_pairs_spearman(ranks: RankMatrix) -> np.ndarray:
-    """Spearman rho for all column pairs, lexicographic order.
+def stacked_spearman(stack: np.ndarray) -> np.ndarray:
+    """Spearman rho for all column pairs of each matrix of a (depth, n, m) rank
+    stack: (depth, C(m,2)), lexicographic order.
 
     One integer ratio (12 sum RS - 3n(n+1)^2) / (n(n^2-1)) per pair, exact in
-    float64 for n <= 131,071.  The rank Gram is a single GEMM.
+    float64 for n <= 131,071.  The rank Grams are one stacked GEMM.
     """
-    n, m = ranks.n, ranks.m
+    n = stack.shape[1]
     if n < 2:
         raise SampleTooSmall(f"spearman needs n >= 2, got {n}")
     _check_ceiling(n, _RANK_GRAM_CEILING, "spearman")
-    g = _rank_gram(ranks.ranks)
-    rho = (12.0 * g - 3.0 * n * (n + 1) ** 2) / (n * (n * n - 1))
-    return _upper(rho, m)
+    return _upper((12.0 * _rank_gram(stack) - 3.0 * n * (n + 1) ** 2) / (n * (n * n - 1)))
 
 
-def tau_family_pairs(ranks: RankMatrix, requirements) -> dict[tuple[KernelId, str], PairStatistics]:
-    """Tau U, rho_hat U and tau W on every column pair from one tau-engine pass.
+def all_pairs_spearman(ranks: RankMatrix) -> np.ndarray:
+    """Spearman rho for all column pairs of one rank matrix (see stacked_spearman)."""
+    return stacked_spearman(ranks.ranks[None])[0]
+
+
+def tau_family_pairs(stack: np.ndarray, requirements) -> dict[tuple[KernelId, str], np.ndarray]:
+    """Tau U, rho_hat U and tau W on every column pair of each matrix of a
+    (depth, n, m) rank stack, as (depth, C(m,2)) arrays, from one tau-engine pass.
 
     ``requirements`` is a collection of (kernel, kind) pairs from TAU_FAMILY,
-    checked by the caller (pair_statistics) against their minimum n and
+    checked by the caller (stacked_pair_values) against their minimum n and
     TAU_FAMILY ceiling.  The sign products are formed once: by the per-row W
     pass when tau W is requested (it also yields G), otherwise by the
     upper-triangle U pass.  Each value is an exact integer ratio rounded once,
-    so the result does not depend on BLAS threading or blocking.
+    so the result does not depend on BLAS threading, blocking or the depth.
     """
     reqs = set(requirements)
     if not reqs:
         return {}
-    n, m = ranks.n, ranks.m
-    rf = ranks.ranks.astype(np.float32)
+    depth, n, m = stack.shape
+    rf = np.ascontiguousarray(stack.transpose(1, 0, 2), dtype=np.float32).reshape(n, depth * m)
     if (KernelId.TAU, "W") in reqs:
-        g, g2 = _tau_rows(rf)
+        g, g2 = _tau_rows(rf, depth)
     else:
-        g = _tau_gram(rf)
+        g = _tau_gram(rf, depth)
     out = {}
     for kernel, kind in reqs:
         if kind == "W":
@@ -553,9 +594,9 @@ def tau_family_pairs(ranks: RankMatrix, requirements) -> dict[tuple[KernelId, st
         elif kernel is KernelId.TAU:
             mat = g / (n * (n - 1))
         else:
-            rg = _rank_gram(ranks.ranks)
+            rg = _rank_gram(stack)
             mat = (12.0 * rg - 3.0 * n * (n + 1) ** 2 - 3.0 * g) / (n * (n - 1) * (n - 2))
-        out[(kernel, kind)] = PairStatistics(kernel=kernel, kind=kind, values=_upper(mat, m), n=n, m=m)
+        out[(kernel, kind)] = _upper(mat)
     return out
 
 
@@ -563,22 +604,12 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def pair_statistics(ranks: RankMatrix, requirements, threads: int = 1) -> dict[tuple, PairStatistics]:
-    """Every requested (kernel, kind) statistic on every column pair.
-
-    The one entry to the pair stage and the one place that checks it: every
-    request's minimum n and _ceiling, before any engine runs.  The tau family
-    then comes from one tau_family_pairs pass.  t* U and D U run their block
-    core on blocks of pairs, and every other W its _w_engine once per pair,
-    over one contiguous range of pairs per worker thread, at most ``threads``
-    and the usable CPUs: the package's only thread pool.  All paths are
-    exact-integer, so the result does not depend on ``threads``.
-    """
+def _check_requests(reqs: set, n: int, m: int, threads: int) -> None:
+    """The pair stage's one check: ``threads`` and every request's minimum n and
+    _ceiling, in a fixed order (the same first error under any hash seed)."""
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    reqs = set(requirements)
-    n, m = ranks.n, ranks.m
-    for kernel, kind in sorted(reqs, key=str):  # the same first error under any hash seed
+    for kernel, kind in sorted(reqs, key=str):
         if kind not in ("U", "W"):
             raise ValueError(f"kind must be 'U' or 'W', got {kind!r}")
         if m < 2:
@@ -587,12 +618,17 @@ def pair_statistics(ranks: RankMatrix, requirements, threads: int = 1) -> dict[t
         if n < min_n:
             raise SampleTooSmall(f"{kind}({kernel.key}) needs n >= {min_n}, got {n}")
         _check_ceiling(n, _ceiling(kernel, kind), f"{kind}({kernel.key})")
-    out = tau_family_pairs(ranks, reqs & TAU_FAMILY.keys())
+
+
+def _pair_values(stack: np.ndarray, reqs: set, threads: int) -> dict[tuple, np.ndarray]:
+    depth, n, m = stack.shape
+    out = tau_family_pairs(stack, reqs & TAU_FAMILY.keys())
     rest = list(reqs - TAU_FAMILY.keys())
     if not rest:
         return out
-    cols = np.ascontiguousarray(ranks.ranks.T)  # (m, n): row p is column p's ranks
-    ps, qs = _triu(m)
+    # row b m + p: column p of matrix b; pair i of the stack is (ps[i], qs[i])
+    cols = np.ascontiguousarray(stack.transpose(0, 2, 1)).reshape(depth * m, n)
+    ps, qs = ((m * np.arange(depth)[:, None] + t).ravel() for t in _triu(m))
     vals = np.empty((len(rest), ps.size), dtype=np.float64)
 
     def work(lo, hi):
@@ -608,16 +644,44 @@ def pair_statistics(ranks: RankMatrix, requirements, threads: int = 1) -> dict[t
                 row[a:b] = core(cols[ps[a:b]], cols[qs[a:b]])
 
     workers = min(threads, ps.size, _usable_cpus())
-    if workers == 1:  # inline: this runs once per MC replicate, a pool costs more
+    if workers == 1:  # inline: one worker needs no pool
         work(0, ps.size)
     else:
         bounds = np.linspace(0, ps.size, workers + 1).astype(int).tolist()
         with ThreadPoolExecutor(max_workers=workers) as ex:
             list(ex.map(work, bounds[:-1], bounds[1:]))
-    out.update((req, PairStatistics(*req, values=v, n=n, m=m)) for req, v in zip(rest, vals))
+    out.update((req, v.reshape(depth, -1)) for req, v in zip(rest, vals))
     return out
 
 
+def stacked_pair_values(stack: np.ndarray, requirements, threads: int = 1) -> dict[tuple, np.ndarray]:
+    """Every requested (kernel, kind) statistic on every column pair of each matrix
+    of a (depth, n, m) stack of rank matrices, as (depth, C(m,2)) arrays.
+
+    The one pair stage (module docstring).  The stack's columns are trusted to be
+    permutations of 1..n: RankMatrix checked them, or they were drawn as such.
+    The tau family comes from one tau_family_pairs pass over the whole stack.
+    t* U and D U run their block core on blocks of pairs, and every other W its
+    _w_engine once per pair, over the depth C(m,2) pairs split into one
+    contiguous range per worker thread, at most ``threads`` and the usable CPUs.
+    All paths are exact-integer, so no value depends on ``threads`` or on how
+    matrices are stacked.
+    """
+    reqs = set(requirements)
+    _check_requests(reqs, stack.shape[1], stack.shape[2], threads)
+    return _pair_values(stack, reqs, threads)
+
+
+def pair_statistics(ranks: RankMatrix, requirements, threads: int = 1) -> dict[tuple, PairStatistics]:
+    """Every requested (kernel, kind) statistic on every column pair of one rank
+    matrix: stacked_pair_values on a stack of one, checked before the ranks are read."""
+    reqs = set(requirements)
+    n, m = ranks.n, ranks.m
+    _check_requests(reqs, n, m, threads)
+    vals = _pair_values(ranks.ranks[None], reqs, threads)
+    return {req: PairStatistics(*req, values=v[0], n=n, m=m) for req, v in vals.items()}
+
+
 def all_pairs(ranks: RankMatrix, kernel: KernelId, kind: str = "U", threads: int = 1) -> PairStatistics:
-    """Evaluate one pairwise statistic on every column pair (see pair_statistics)."""
+    """Evaluate one pairwise statistic on every column pair (see stacked_pair_values)."""
     return pair_statistics(ranks, [(kernel, kind)], threads)[(kernel, kind)]

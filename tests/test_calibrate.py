@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from rankdep import _rng
+from rankdep import _rng, calibrate
 from rankdep import (
     ASYMPTOTIC,
     ConfigError,
     DomainError,
+    NAMED_STATISTICS,
     MonteCarlo,
     NullTable,
     RankMatrix,
@@ -18,10 +19,13 @@ from rankdep import (
     montecarlo_nulls,
     normal_pvalue,
     permutation_ranks,
+    raw_statistics,
     run_test,
     run_tests,
     statistic_from_name,
 )
+from rankdep.aggregate import stacked_raw_statistics
+from rankdep.pairwise import stack_depth
 
 S_TAU = statistic_from_name("s_tau")
 
@@ -91,6 +95,35 @@ def test_permutation_stream_pinned():
     assert hashlib.sha256(values.tobytes()).hexdigest() == (
         "c469f4a2f98669a900ceee6168afb127322af8655af49544a176b1d81420a6ea"
     )
+
+
+def test_mc_null_shape_tables_pinned():
+    # the benchmark's mc-null shape; digests recorded from one replicate at a time
+    stats = [S_TAU, statistic_from_name("s_max_tau")]
+    tables = montecarlo_nulls(stats, n=64, m=32, reps=199, seed=11)
+    assert [hashlib.sha256(t.values.tobytes()).hexdigest() for t in tables] == [
+        "e545b8440690b7f8adb62eaffbd9607c096f9424df9ba6a2a81ba530e5eb9555",
+        "0014321559212c2477be1043d701839a271d2b744cff94e92631824b28f3b14c",
+    ]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_batches_equal_replicates_one_by_one(threads, monkeypatch):
+    # every statistic, t_rho_hat and t_tstar included, at n = 10 (t_tstar needs 8)
+    n, m, seed = 10, 4, 23
+    stats = list(NAMED_STATISTICS.values())
+    depth = stack_depth(n, m)
+    assert depth > 40
+    singles = [raw_statistics(permutation_ranks(n, m, seed, r), stats, threads) for r in range(11)]
+    batch = stacked_raw_statistics(calibrate._permutation_stack(n, m, seed, range(11)), stats, threads)
+    assert np.array(batch).T.tobytes() == np.array(singles).tobytes()
+    # reps below the derived depth (one batch), then batches of 4 with a remainder of 3 and of 1
+    for forced, reps in ((None, 11), (4, 11), (4, 9), (4, 3)):
+        if forced:
+            monkeypatch.setattr(calibrate, "stack_depth", lambda n, m, d=forced: d)
+        tables = montecarlo_nulls(stats, n, m, reps, seed, threads)
+        for sid, table, want in zip(stats, tables, np.array(singles[:reps]).T):
+            assert table.values.tobytes() == np.sort(want).tobytes(), (forced, reps, sid.name)
 
 
 def test_rekeyed_permutations_match_generator():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -139,6 +140,37 @@ def test_data_problems_exit_2(tmp_path, capsys):
     small = tmp_path / "s.csv"
     small.write_text("1.0,2.0\n2.0,1.0\n0.5,0.25\n")
     assert main(["test", str(small), "--stats", "t_tau"]) == 2  # needs n >= 4
+
+
+# (CSV text, extra argv) -> exit code, stderr with the file's directory as DIR,
+# and the SHA-256 of stdout: bad CSVs exit 2 from read_csv_matrix, a tie from
+# compute_ranks, and --ties jitter breaks the tie
+TIED = "a,b,c\n1,5,0.5\n2,6,0.25\n3,6,0.75\n4,7,0.125\n5,8,1\n"
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+INPUT_ERROR_PINS = [
+    ("a,b\n1,x\n2,3\n", [], 2, "error: non-numeric value 'x' at row 2, column 2\n", EMPTY),
+    ("1,2\n", [], 2, "error: DIR/d.csv: need at least 2 data rows and 2 columns\n", EMPTY),
+    ("1\n2\n3\n", ["--ties", "jitter"], 2,
+     "error: DIR/d.csv: need at least 2 data rows and 2 columns\n", EMPTY),
+    ("1,2\ninf,3\n4,5\n", ["--ties", "jitter"], 2,
+     "error: non-finite value 'inf' at row 2, column 1\n", EMPTY),
+    ("1,2\n3\n", [], 2, "error: expected 2 columns, found 1 at row 2\n", EMPTY),
+    ("", [], 2, "error: DIR/d.csv is empty\n", EMPTY),
+    (TIED, [], 2, "error: tied value 6.0 in column 1\n", EMPTY),
+    (TIED, ["--ties", "jitter"], 0, "", "d659455d0a9d1e04340f73d1e35d96412c1a511f9cb95fd021d99a6806c2e3a1"),
+    (TIED, ["--ties", "jitter", "--seed", "3", "--stats", "s_tau,s_max_tau,s_rho_s"], 0, "",
+     "25ddcdaccf82130d516aaeea50854fd794d3b32c12b5f490c379ca90fd230ce6"),
+]  # fmt: skip
+
+
+def test_input_errors_and_jitter_outputs_pinned(tmp_path, capsys):
+    p = tmp_path / "d.csv"
+    for text, extra, code, err, digest in INPUT_ERROR_PINS:
+        p.write_text(text)
+        assert main(["test", str(p)] + extra) == code, (text, extra)
+        out = capsys.readouterr()
+        assert out.err.replace(str(tmp_path), "DIR") == err, (text, extra)
+        assert hashlib.sha256(out.out.encode()).hexdigest() == digest, (text, extra)
 
 
 def test_jitter_policy_accepts_ties(tmp_path, capsys):

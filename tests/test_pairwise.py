@@ -14,6 +14,7 @@ from rankdep import (
     ExactnessCeiling,
     KernelId,
     LengthMismatch,
+    PairStatistics,
     RankMatrix,
     SampleTooSmall,
     all_pairs,
@@ -102,7 +103,8 @@ def test_w_stat_pinned_beyond_oracle_sizes():
 
 def test_w_stat_tau_matches_tau_engine():
     rm = _random_ranks(47, 300, 4)
-    ps = pairwise.tau_family_pairs(rm, [(KernelId.TAU, "W")])[(KernelId.TAU, "W")]
+    (values,) = pairwise.tau_family_pairs(rm.ranks[None], [(KernelId.TAU, "W")])[(KernelId.TAU, "W")]
+    ps = PairStatistics(KernelId.TAU, "W", values, rm.n, rm.m)
     for p in range(rm.m):
         for q in range(p + 1, rm.m):
             assert w_stat(KernelId.TAU, rm.column(p), rm.column(q)) == ps.value(p, q), (p, q)
@@ -375,9 +377,9 @@ def test_tau_engine_slab_size_does_not_change_bits(monkeypatch):
         monkeypatch.setattr(pairwise, "BYTE_BUDGET", budget)
         for req in reqs:
             assert np.array_equal(all_pairs(rm, *req).values, want[req]), (budget, req)
-        shared = pairwise.tau_family_pairs(rm, reqs)
+        shared = pairwise.tau_family_pairs(rm.ranks[None], reqs)
         for req in reqs:
-            assert np.array_equal(shared[req].values, want[req]), (budget, req)
+            assert np.array_equal(shared[req][0], want[req]), (budget, req)
 
 
 def test_tau_engine_memory_is_bounded():
@@ -534,6 +536,66 @@ def test_block_budget_does_not_change_bits(monkeypatch):
             for req in reqs:
                 assert got[req].values.tobytes() == want[req].values.tobytes(), (budget, threads, req)
     assert {(1, 1), (1, 6), (1, 27), (3, 37)} <= plans  # (pairs per block, rows per chunk)
+
+
+def test_tstar_chunks_sized_by_their_columns():
+    # the chunk at lo has n - 1 - lo columns; its rows fill what the plan gave
+    # rows of n, so every chunk's counted bytes fit a quarter of the budget.
+    # At n = 8,192 one pair's six n-vectors alone take more (295 KB), and no
+    # chunk may hold more than the plan's block of one pair and one row of n.
+    quarter = pairwise.BYTE_BUDGET // 4
+    for n in (8, 37, 64, 256, 1024, 4096, 8192):
+        pairs, rows = pairwise._tstar_plan(n)
+        s = pairwise._count_type(n).itemsize
+        planned = pairs * ((24 + 3 * s) * n + rows * (2 + 3 * s) * n)
+        assert (planned <= quarter) == (n < 8192), n
+        chunks = pairwise._tstar_chunks(n)
+        assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]] and chunks[-1][1] == n - 1
+        for lo, hi in chunks:
+            counted = pairs * ((24 + 3 * s) * n + (hi - lo) * (2 + 3 * s) * (n - 1 - lo))
+            assert counted <= max(quarter, planned), (n, lo, hi)
+    assert pairwise._tstar_chunks(64) == [(0, 63)]  # n = 64 runs one chunk, as with rows of n
+    assert len(pairwise._tstar_chunks(8192)) < 8191  # sized for n columns, every chunk was one row
+
+
+def _rank_stack(seed, depth, n, m):
+    rng = generator(seed, 0, 0)
+    return np.array([[rng.permutation(n) + 1 for _ in range(m)] for _ in range(depth)]).transpose(0, 2, 1)
+
+
+def test_stacked_tau_engine_matches_single_calls():
+    # a stack of 20 matrices side by side: each slab holds a fifth of the sign
+    # rows, so the U pass flushes several times and W takes 6 rows per block
+    n, m, depth = 64, 16, 20
+    stack = _rank_stack(58, depth, n, m)
+    assert pairwise._slab_rows(depth * m) * 4 < math.comb(n, 2)
+    for reqs in ([(KernelId.TAU, "U"), (KernelId.RHO_HAT, "U")], list(pairwise.TAU_FAMILY)):
+        got = pairwise.tau_family_pairs(stack, reqs)
+        for b in range(depth):
+            alone = pairwise.tau_family_pairs(stack[b : b + 1], reqs)
+            for req in reqs:
+                assert got[req].shape == (depth, math.comb(m, 2))
+                assert got[req][b].tobytes() == alone[req][0].tobytes(), (b, req)
+    # a stack of one is the pair stage of one rank matrix, pair by pair
+    rm = RankMatrix(stack[3])
+    (tau,) = pairwise.tau_family_pairs(stack[3:4], [(KernelId.TAU, "U")])[(KernelId.TAU, "U")]
+    ps = PairStatistics(KernelId.TAU, "U", tau, n, m)
+    for p in range(m):
+        for q in range(p + 1, m):
+            assert ps.value(p, q) == kendall_tau_fast(rm.column(p), rm.column(q)), (p, q)
+
+
+def test_stacked_pair_values_match_pair_statistics():
+    # every engine, the block cores split over threads included, on 5 matrices
+    n, m, depth = 12, 4, 5
+    stack = _rank_stack(59, depth, n, m)
+    reqs = [(KernelId.TAU, "U"), (KernelId.RHO_HAT, "W"), (KernelId.T_STAR, "U"), (KernelId.HOEFF_D, "U")]
+    for threads in (1, 2):
+        got = pairwise.stacked_pair_values(stack, reqs, threads)
+        for b in range(depth):
+            alone = pair_statistics(RankMatrix(stack[b]), reqs)
+            for req in reqs:
+                assert got[req][b].tobytes() == alone[req].values.tobytes(), (threads, b, req)
 
 
 def test_block_core_memory_is_bounded():
