@@ -19,11 +19,14 @@ functions check their own input.
 - Tau Gram, tau_family_pairs: tau U, rho_hat U and tau W from the sign
   products sign(R_ip - R_jp) sign(R_iq - R_jq).  The stack's matrices sit
   side by side as one (n, depth m) float32 array, so one subtraction forms a
-  row of signs for the whole stack.  Rows are streamed in slabs of at most
-  half of BYTE_BUDGET (at least one n x depth m row block for W) and 2^24
-  rows, and each slab adds the depth diagonal m x m blocks of its Gram by one
-  stacked GEMM, which keeps each product exact.  stack_depth sizes a stack so
-  that its other arrays fit the other half.
+  row of signs for the whole stack.  The U pass streams the i < j rows in
+  slabs of at most half of BYTE_BUDGET, and stack_depth sizes a stack so that
+  its other arrays fit the other half.  The W pass takes blocks of all n rows
+  of a few points i, at most BYTE_BUDGET (at least one point); halving them
+  slowed the W pass at n = 768, m = 32 by about a fifth on 2 vCPUs with 2
+  BLAS threads.  Slabs and blocks have fewer than 2^24 rows, and each adds
+  the depth diagonal m x m blocks of its Gram by one stacked GEMM, which
+  keeps each product exact.
 - Dominance count, _tstar and _hoeffd: t* U and D U on a block of P column
   pairs given as two (P, n) rank arrays, in whole-array numpy calls.  Every
   per-element count is held in _count_type(n), the narrowest signed integer
@@ -463,8 +466,8 @@ def _ceiling(kernel: KernelId, kind: str) -> int:
     return {KernelId.T_STAR: _TSTAR_CEILING, KernelId.HOEFF_D: _HOEFFD_CEILING}[kernel]
 
 
-def _slab_rows(width: int) -> int:
-    rows = max(1, BYTE_BUDGET // 2 // (4 * width))  # float32 sign rows in half the budget
+def _slab_rows(width: int, budget: int) -> int:
+    rows = max(1, budget // (4 * width))  # float32 sign rows
     # a slab's column products sum at most `rows` terms of +-1, exact in float32
     assert rows <= _F32_EXACT
     return rows
@@ -487,7 +490,7 @@ def _tau_gram(rf: np.ndarray, depth: int) -> np.ndarray:
     rf, (n, depth m): a (depth, m, m) array, from the i < j sign rows only."""
     n, width = rf.shape
     m = width // depth
-    cap = _slab_rows(width)
+    cap = _slab_rows(width, BYTE_BUDGET // 2)
     slab = np.empty((min(cap, n * (n - 1) // 2), width), dtype=np.float32)
     g = np.zeros((depth, m, m), dtype=np.float64)
     fill = 0
@@ -515,7 +518,7 @@ def _tau_rows(rf: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
     side by side in rf, (n, depth m), blocks of rows i at a time."""
     n, width = rf.shape
     m = width // depth
-    step = max(1, _slab_rows(width) // n)
+    step = max(1, _slab_rows(width, BYTE_BUDGET) // n)
     g = np.zeros((depth, m, m), dtype=np.float64)
     g2 = np.zeros((depth, m, m), dtype=np.float64)
     for lo in range(0, n, step):

@@ -564,11 +564,11 @@ def _rank_stack(seed, depth, n, m):
 
 
 def test_stacked_tau_engine_matches_single_calls():
-    # a stack of 20 matrices side by side: each slab holds a fifth of the sign
-    # rows, so the U pass flushes several times and W takes 6 rows per block
+    # a stack of 20 matrices side by side: each U slab holds a fifth of the sign
+    # rows, so the U pass flushes several times; W takes 12 points' rows per block
     n, m, depth = 64, 16, 20
     stack = _rank_stack(58, depth, n, m)
-    assert pairwise._slab_rows(depth * m) * 4 < math.comb(n, 2)
+    assert pairwise._slab_rows(depth * m, pairwise.BYTE_BUDGET // 2) * 4 < math.comb(n, 2)
     for reqs in ([(KernelId.TAU, "U"), (KernelId.RHO_HAT, "U")], list(pairwise.TAU_FAMILY)):
         got = pairwise.tau_family_pairs(stack, reqs)
         for b in range(depth):
