@@ -21,12 +21,12 @@ functions check their own input.
   side by side as one (n, depth m) float32 array, so one subtraction forms a
   row of signs for the whole stack.  The U pass streams the i < j rows in
   slabs of at most half of BYTE_BUDGET, and stack_depth sizes a stack so that
-  its other arrays fit the other half.  The W pass takes blocks of all n rows
-  of a few points i, at most BYTE_BUDGET (at least one point); halving them
-  slowed the W pass at n = 768, m = 32 by about a fifth on 2 vCPUs with 2
-  BLAS threads.  Slabs and blocks have fewer than 2^24 rows, and each adds
-  the depth diagonal m x m blocks of its Gram by one stacked GEMM, which
-  keeps each product exact.
+  its other arrays fit the other half.  The W pass takes blocks of a few
+  points i, each point's n rows of signs and its m x m Grams g_i counted, in
+  at most BYTE_BUDGET (at least one point); halving the blocks slowed it at
+  n = 768, m = 32 by about a fifth on 2 vCPUs with 2 BLAS threads.  Slabs and
+  blocks have fewer than 2^24 rows, and each adds the depth diagonal m x m
+  blocks of its Gram by one stacked GEMM, which keeps each product exact.
 - Dominance count, _tstar and _hoeffd: t* U and D U on a block of P column
   pairs given as two (P, n) rank arrays, in whole-array numpy calls.  Every
   per-element count is held in _count_type(n), the narrowest signed integer
@@ -518,7 +518,8 @@ def _tau_rows(rf: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
     side by side in rf, (n, depth m), blocks of rows i at a time."""
     n, width = rf.shape
     m = width // depth
-    step = max(1, _slab_rows(width, BYTE_BUDGET) // n)
+    # per point i: its n x depth m float32 signs and depth m x m Grams g_i, float32 and float64
+    step = max(1, BYTE_BUDGET // (4 * n * width + 12 * width * m))
     g = np.zeros((depth, m, m), dtype=np.float64)
     g2 = np.zeros((depth, m, m), dtype=np.float64)
     for lo in range(0, n, step):

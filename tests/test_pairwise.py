@@ -396,6 +396,20 @@ def test_tau_engine_memory_is_bounded():
         assert peak < 8 * 2**20, (kind, peak)
 
 
+def test_tau_w_blocks_count_their_grams():
+    # each point's m x m Grams g_i count against the budget beside its sign
+    # rows: counting the rows alone, (40, 200) peaked at 16 MiB, and a stack
+    # of 8 at (64, 32) at 3.8 MiB
+    for stack in (_random_ranks(60, 40, 200).ranks[None], _rank_stack(61, 8, 64, 32)):
+        tracemalloc.start()
+        try:
+            pairwise.tau_family_pairs(stack, [(KernelId.TAU, "W")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * pairwise.BYTE_BUDGET, (stack.shape, peak)
+
+
 # all_pairs t* U and D U captured from the per-pair path this engine replaced,
 # as float.hex; columns 0 and 1 are identical and column 3 reverses column 2
 PINNED_BLOCK_VALUES = {
