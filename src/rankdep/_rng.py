@@ -6,9 +6,10 @@ column index, purpose tag).  Streams with different labels are independent,
 and the same labels always reproduce the same stream regardless of how work
 is split across threads.
 
-generator() defines a stream.  permutations() draws many keyed permutations
-from one Philox that it re-keys before each row, with the same keys and so
-the same draws, without building a generator per row.
+generator() defines a stream.  keyed_permutations() draws many keyed
+permutations from one Philox that it re-keys before each row, with the same
+keys and so the same draws, without building a generator per row;
+permutations() keys its rows as generator(*parts, row) does.
 """
 
 from __future__ import annotations
@@ -52,6 +53,13 @@ def permutations(n: int, count: int, *parts: int) -> np.ndarray:
     """(count, n) int64; row c equals generator(*parts, c).permutation(n).
 
     The row keys are mix_key(*parts, c) = splitmix64_array(mix_key(*parts), c).
+    """
+    return keyed_permutations(n, splitmix64_array(mix_key(*parts), np.arange(count)))
+
+
+def keyed_permutations(n: int, keys: np.ndarray) -> np.ndarray:
+    """(len(keys), n) int64; row c equals Philox(key=keys[c])'s Generator.permutation(n).
+
     The Philox is built per call, not per module, so concurrent callers stay
     independent.
     """
@@ -59,8 +67,8 @@ def permutations(n: int, count: int, *parts: int) -> np.ndarray:
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state  # counter zero, empty buffer: where Philox(key=k) starts
     key = fresh["state"]["key"]
-    out = np.empty((count, n), dtype=np.int64)
-    for c, k in enumerate(splitmix64_array(mix_key(*parts), np.arange(count))):
+    out = np.empty((len(keys), n), dtype=np.int64)
+    for c, k in enumerate(keys):
         key[0] = k
         bitgen.state = fresh
         out[c] = gen.permutation(n)

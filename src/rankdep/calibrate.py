@@ -6,14 +6,14 @@ t = (9n/4) s^2 - 4 log m + log log m, the null distribution of t converges
 to F(t) = exp(-exp(-t/2) / sqrt(8 pi)).
 
 The Monte Carlo path draws `reps` independent permutation datasets (each
-column its own Fisher-Yates stream keyed by (seed, replicate, column), drawn
-by re-keying one Philox per dataset), evaluates the raw statistic on each,
-and uses the add-one estimator p = (1 + #{null >= observed}) / (reps + 1).
-Replicates go through the pair stage in batches: one (depth, n, m) stack of
-consecutive replicates at a time, as many as pairwise.stack_depth fits in
-its byte budget.  Every value is exact-integer up to one rounding and each
-replicate is reduced on its own, so a table does not depend on the batches
-or on the thread count.
+column its own Fisher-Yates stream keyed by (seed, replicate, column)),
+evaluates the raw statistic on each, and uses the add-one estimator
+p = (1 + #{null >= observed}) / (reps + 1).  Replicates run in batches: one
+(depth, n, m) stack of consecutive replicates at a time, as many as
+pairwise.stack_depth fits in its byte budget, drawn by re-keying one Philox
+and passed through the pair stage together.  Every value is exact-integer up
+to one rounding and each replicate is reduced on its own, so a table does
+not depend on the batches or on the thread count.
 """
 
 from __future__ import annotations
@@ -103,9 +103,9 @@ class NullTable:
 def _permutation_stack(n: int, m: int, seed: int, replicates: range) -> np.ndarray:
     """(depth, n, m) stack of permutation_ranks(n, m, seed, r).ranks for r in
     replicates, unchecked: its columns are permutations by construction."""
-    cols = np.empty((len(replicates), m, n), dtype=np.int64)
-    for b, r in enumerate(replicates):
-        cols[b] = _rng.permutations(n, m, seed, r)
+    bases = np.array([_rng.mix_key(seed, r) for r in replicates], dtype=np.uint64)
+    keys = _rng.splitmix64_array(bases[:, None], np.arange(m))  # keys[b, c] = mix_key(seed, r, c)
+    cols = _rng.keyed_permutations(n, keys.ravel()).reshape(len(replicates), m, n)
     cols += 1
     return cols.transpose(0, 2, 1)
 
@@ -114,7 +114,8 @@ def permutation_ranks(n: int, m: int, seed: int, replicate: int) -> RankMatrix:
     """Independent uniform rank columns, keyed by (seed, replicate, column).
 
     Column c is _rng.generator(seed, replicate, c).permutation(n) + 1, drawn
-    by one re-keyed Philox for the whole dataset (_rng.permutations).
+    by one re-keyed Philox (_rng.keyed_permutations), one per batch in the
+    Monte Carlo null.
     """
     return RankMatrix(_permutation_stack(n, m, seed, range(replicate, replicate + 1))[0])
 
