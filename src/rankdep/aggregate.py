@@ -106,14 +106,6 @@ def check_sample_size(statistics, n: int) -> None:
 
 # ------------------------------------------------------------- raw statistics
 
-def _check_pairs(pairs: PairStatistics, kind: str, what: str) -> None:
-    if pairs.kind != kind:
-        raise ValueError(f"{what} needs {kind}-statistics, got {pairs.kind}")
-    npairs = pairs.m * (pairs.m - 1) // 2
-    if pairs.values.shape != (npairs,):
-        raise ValueError(f"{what}: expected {npairs} pair values")
-
-
 def _reduce(statistic: StatisticId, values: np.ndarray, n: int, m: int) -> list[float]:
     """The raw statistic of each row of (depth, C(m,2)) pair values: S and S_RHO_S the
     fsum of the squares less C(m,2) times the null mean of one square, T and Z the
@@ -128,24 +120,32 @@ def _reduce(statistic: StatisticId, values: np.ndarray, n: int, m: int) -> list[
     return [math.fsum(row.tolist()) for row in values]
 
 
-def s_stat(pairs: PairStatistics) -> float:
-    """Sum of squared U-statistics minus its exact null mean."""
-    _check_pairs(pairs, "U", "s_stat")
-    statistic = StatisticId(StatKind.S, pairs.kernel)
+def _on_pairs(statistic: StatisticId, pairs: PairStatistics) -> float:
+    """The raw statistic of one pair-stage result, checked against the result the
+    statistic reads, its C(m,2) values and the statistic's minimum n."""
+    need = pair_requirement(statistic)
+    if (pairs.kernel, pairs.kind) != need:
+        raise ValueError(f"{statistic.name} reads {need[0].key} {need[1]} pairs, got {pairs.kernel.key} {pairs.kind}")
+    npairs = math.comb(pairs.m, 2)
+    if pairs.values.shape != (npairs,):
+        raise ValueError(f"{statistic.name}: expected {npairs} pair values")
     check_sample_size([statistic], pairs.n)
     return _reduce(statistic, pairs.values[None], pairs.n, pairs.m)[0]
 
 
+def s_stat(pairs: PairStatistics) -> float:
+    """Sum of squared U-statistics minus its exact null mean."""
+    return _on_pairs(StatisticId(StatKind.S, pairs.kernel), pairs)
+
+
 def t_stat(pairs: PairStatistics) -> float:
     """Sum of W-statistics over all pairs."""
-    _check_pairs(pairs, "W", "t_stat")
-    return _reduce(StatisticId(StatKind.T, pairs.kernel), pairs.values[None], pairs.n, pairs.m)[0]
+    return _on_pairs(StatisticId(StatKind.T, pairs.kernel), pairs)
 
 
 def z_stat(pairs: PairStatistics) -> float:
     """Plain sum of U-statistics (sensitive to positive association only)."""
-    _check_pairs(pairs, "U", "z_stat")
-    return _reduce(StatisticId(StatKind.Z, pairs.kernel), pairs.values[None], pairs.n, pairs.m)[0]
+    return _on_pairs(StatisticId(StatKind.Z, pairs.kernel), pairs)
 
 
 def centered_square_sum(v: np.ndarray, n: int, m: int) -> float:
@@ -160,10 +160,7 @@ def s_rho_s(ranks: RankMatrix) -> float:
 
 def s_max_tau(pairs: PairStatistics) -> float:
     """Maximum absolute Kendall tau over all pairs."""
-    _check_pairs(pairs, "U", "s_max_tau")
-    if pairs.kernel is not KernelId.TAU:
-        raise ValueError("s_max_tau is defined on Kendall tau pairs")
-    return _reduce(NAMED_STATISTICS["s_max_tau"], pairs.values[None], pairs.n, pairs.m)[0]
+    return _on_pairs(NAMED_STATISTICS["s_max_tau"], pairs)
 
 
 def pair_requirement(statistic: StatisticId) -> tuple[KernelId, str] | None:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from rankdep import (
     ConfigError,
     KernelId,
     NAMED_STATISTICS,
+    PairStatistics,
     RankMatrix,
     SampleTooSmall,
     StatisticId,
@@ -26,6 +28,7 @@ from rankdep import (
     z_stat,
 )
 from rankdep._rng import generator
+from rankdep.aggregate import pair_requirement
 
 
 def identical_columns(n, m):
@@ -99,6 +102,14 @@ def test_s_stat_argument_checks():
     small = all_pairs(identical_columns(3, 3), KernelId.TAU, "U")
     with pytest.raises(SampleTooSmall):
         s_stat(small)
+    # every reducer checks its statistic's minimum n, not only the pair stage's
+    three = np.zeros(3)
+    with pytest.raises(SampleTooSmall):
+        t_stat(PairStatistics(KernelId.TAU, "W", three, n=3, m=3))  # t_tau: n >= 4
+    with pytest.raises(SampleTooSmall):
+        z_stat(PairStatistics(KernelId.T_STAR, "U", three, n=3, m=3))  # z_tstar: n >= 4
+    with pytest.raises(SampleTooSmall):
+        s_max_tau(PairStatistics(KernelId.TAU, "U", np.zeros(1), n=1, m=2))
 
 
 def test_sums_on_identical_columns():
@@ -139,10 +150,25 @@ def test_raw_statistic_guards_sample_size():
 
 
 def test_raw_statistic_matches_manual_path():
+    # each pair-object reducer, given the pair result its statistic reads,
+    # equals raw_statistic bitwise; given any other result, or C(m,2) - 1
+    # values, it raises ValueError
     rm = random_ranks(9, 12, 4)
-    pairs = all_pairs(rm, KernelId.TAU, "U")
-    want = s_stat(pairs)
-    assert raw_statistic(rm, statistic_from_name("s_tau")) == want
+    results = [all_pairs(rm, kernel, kind) for kernel in KernelId for kind in "UW"]
+    reducers = {StatKind.S: s_stat, StatKind.T: t_stat, StatKind.Z: z_stat, StatKind.S_MAX_TAU: s_max_tau}
+    checked = set()
+    for kind, reduce in reducers.items():
+        for pairs in results:
+            sid = StatisticId(kind, None if kind is StatKind.S_MAX_TAU else pairs.kernel)
+            if pair_requirement(sid) != (pairs.kernel, pairs.kind):
+                with pytest.raises(ValueError):
+                    reduce(pairs)
+                continue
+            assert reduce(pairs) == raw_statistic(rm, sid), sid.name
+            with pytest.raises(ValueError):
+                reduce(dataclasses.replace(pairs, values=pairs.values[:-1]))
+            checked.add(sid.name)
+    assert checked == set(NAMED_STATISTICS) - {"s_rho_s"} | {"t_hoeffd"}
 
 
 def test_raw_statistics_match_single_statistic_calls():
