@@ -14,7 +14,8 @@ each requested (kernel, kind) against its minimum n (k for U, 2k for W) and
 its _ceiling, before any engine runs.  It runs one engine per algebraic form,
 the last two over the stack's depth C(m,2) column pairs split into at most
 ``threads`` contiguous ranges: the package's only thread pool.  Scalar
-functions check their own input.
+functions check their own input; the scalar Kendall tau and rho_hat count
+inversions by a bottom-up merge, log n whole-array numpy steps (_inversions).
 
 - Tau Gram, tau_family_pairs: tau U, rho_hat U and tau W from the sign
   products sign(R_ip - R_jp) sign(R_iq - R_jq).  The stack's matrices sit
@@ -100,40 +101,29 @@ def _largest_n(fits, lo: int) -> int:
 
 # ------------------------------------------------------------ scalar U paths
 
-def _inversions(seq: list[int]) -> int:
-    """Merge-sort inversion count."""
-    if len(seq) <= 1:
-        return 0
-
-    def count(a):
-        if len(a) <= 1:
-            return a, 0
-        mid = len(a) // 2
-        left, il = count(a[:mid])
-        right, ir = count(a[mid:])
-        merged = []
-        inv = il + ir
-        i = j = 0
-        while i < len(left) and j < len(right):
-            if left[i] <= right[j]:
-                merged.append(left[i])
-                i += 1
-            else:
-                merged.append(right[j])
-                j += 1
-                inv += len(left) - i
-        merged.extend(left[i:])
-        merged.extend(right[j:])
-        return merged, inv
-
-    return count(seq)[1]
+def _inversions(seq: np.ndarray) -> int:
+    """Inversion count of an int64 array with values in 1..n, by a bottom-up merge: at
+    width w, with entries keyed by their merged block, one searchsorted counts the larger
+    entries of each right block's (full) sorted left sibling, and one sort merges."""
+    n = seq.size
+    pos = np.arange(n)
+    inv, w = 0, 1
+    while w < n:
+        block = pos // (2 * w) * (n + 1)
+        keys = block + seq
+        right = (pos & w) > 0  # w is a power of two
+        ends = (pos[right] // (2 * w) + 1) * w  # left entries up to the sibling's end
+        inv += int((ends - np.searchsorted(keys[~right], keys[right], side="right")).sum())
+        seq = np.sort(keys) - block
+        w *= 2
+    return inv
 
 
 def _tau_inv(rx: np.ndarray, ry: np.ndarray, n: int) -> int:
     # y-ranks in x-rank order; rx is a permutation so no sort is needed
     seq = np.empty(n, dtype=np.int64)
     seq[rx - 1] = ry
-    return _inversions(seq.tolist())
+    return _inversions(seq)
 
 
 def kendall_tau_fast(rx, ry) -> float:

@@ -120,6 +120,18 @@ def test_w_stat_raises_above_int64_ceiling():
             w_stat(kid, list(range(1, n + 1)), list(range(n, 0, -1)))
 
 
+def test_inversions_match_quadratic_count():
+    rng = generator(17, 0, 0)
+    sizes = [*range(21), 63, 64, 65, 127, 128, 129, *rng.integers(200, 3001, size=3).tolist()]
+    for n in sizes:
+        ident = np.arange(1, n + 1, dtype=np.int64)
+        assert pairwise._inversions(ident) == 0
+        assert pairwise._inversions(ident[::-1].copy()) == n * (n - 1) // 2
+        seq = rng.permutation(n).astype(np.int64) + 1
+        quadratic = int(np.count_nonzero(np.triu(seq[:, None] > seq[None, :])))
+        assert pairwise._inversions(seq) == quadratic, n
+
+
 def test_coordinate_swap_symmetry():
     rng = generator(97, 0, 0)
     for kid in KernelId:
