@@ -27,11 +27,12 @@ from . import _rng
 from .aggregate import (
     StatisticId,
     check_sample_size,
+    limit_family,
     raw_statistics,
     rescale,
     stacked_raw_statistics,
 )
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, SampleTooSmall
 from .pairwise import stack_depth
 from .ranks import RankMatrix
 
@@ -219,9 +220,12 @@ def run_tests(
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     stats = list(statistics)
     n, m = ranks.n, ranks.m
+    montecarlo = isinstance(method, MonteCarlo)
+    for statistic in stats:
+        if not montecarlo and limit_family(statistic) == "gumbel" and m < 3:
+            raise SampleTooSmall(f"{statistic.name}'s Gumbel limit needs m >= 3, got {m}")
     raws = raw_statistics(ranks, stats, threads=threads)
     scaled = [rescale(statistic, raw, n, m) for statistic, raw in zip(stats, raws)]
-    montecarlo = isinstance(method, MonteCarlo)
     tables = [None] * len(stats)
     if montecarlo:
         if null_tables is None:

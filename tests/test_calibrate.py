@@ -232,6 +232,19 @@ def test_run_test_gumbel_uses_raw_scale():
     assert res.p_value == gumbel_max_pvalue(1.0, 24, 4)
 
 
+def test_gumbel_limit_needs_three_columns(monkeypatch):
+    # too few columns for the asymptotic s_max_tau is a data problem, raised
+    # before the pair stage; its permutation null still runs at m = 2
+    rm = _dependent_ranks(5, 2)
+    s_max = statistic_from_name("s_max_tau")
+    with monkeypatch.context() as mp:
+        mp.setattr(calibrate, "raw_statistics", None)
+        with pytest.raises(SampleTooSmall, match="s_max_tau's Gumbel limit needs m >= 3, got 2"):
+            run_tests(rm, [S_TAU, s_max])
+    res = run_test(rm, s_max, method=MonteCarlo(19, 3))
+    assert res.raw == 1.0 and 0.0 < res.p_value <= 1.0
+
+
 def test_run_test_rejects_bad_alpha_and_table():
     rm = _dependent_ranks(16, 4)
     with pytest.raises(ConfigError):

@@ -233,6 +233,15 @@ def test_simulate_infeasible_exit_3(capsys):
     capsys.readouterr()
 
 
+def test_s_max_tau_at_two_columns(tmp_path, capsys):
+    # the Gumbel limit needs m >= 3, a data problem; the permutation null runs
+    p = write_demo_csv(tmp_path / "d.csv", n=5, m=2)
+    assert main(["test", str(p), "--stats", "s_max_tau"]) == 2
+    assert capsys.readouterr().err == "error: s_max_tau's Gumbel limit needs m >= 3, got 2\n"
+    assert main(["test", str(p), "--stats", "s_max_tau", "--method", "montecarlo", "--reps", "19"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"][0]["method"] == "montecarlo"
+
+
 def test_simulate_sample_too_small_exit_2(capsys):
     # s_tau needs n >= 4; both calibrations report it as a data problem
     base = ["simulate", "--family", "mvn", "-n", "3", "-m", "4", "--reps", "2", "--stats", "s_tau"]
