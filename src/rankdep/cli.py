@@ -30,7 +30,7 @@ from .errors import (
 )
 from .ranks import REJECT, JitterWithSeed, compute_ranks
 from .selftest import format_report, run_selftest
-from .simgen import PEARSON, SimScenario, run_experiment, write_experiment_csv
+from .simgen import FAMILIES, PEARSON, SCATTER_KINDS, SimScenario, run_experiment, write_experiment_csv
 
 REPORT_SCHEMA = 2
 
@@ -183,10 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_test)
 
     s = sub.add_parser("simulate", help="estimate size/power over simulated datasets")
-    s.add_argument("--family", choices=["mvn", "mvt", "iid-null", "contaminated-mvn"], required=True)
+    s.add_argument("--family", choices=FAMILIES, required=True)
     s.add_argument("-n", "--n", type=int, required=True)
     s.add_argument("-m", "--m", type=int, required=True)
-    s.add_argument("--scatter", choices=["identity", "equicorrelation", "pentadiagonal"], default="identity")
+    s.add_argument("--scatter", choices=SCATTER_KINDS, default="identity")
     s.add_argument("--signal", type=float, default=0.0)
     s.add_argument("--reps", type=int, required=True, help="scenario replicates")
     s.add_argument("--stats", default="s_tau", help="statistic names, may include s_pearson")
