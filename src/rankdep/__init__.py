@@ -72,7 +72,6 @@ from .selftest import CheckResult, run_selftest
 from .simgen import (
     CSV_FIELDS,
     FAMILIES,
-    PEARSON,
     SCATTER_KINDS,
     ExperimentRow,
     ScatterSpec,

@@ -7,8 +7,9 @@ m(m-1)/2 pairs:
   T   sum of W-statistics (exactly unbiased for the squared signal)
   Z   plain sum of U-statistics (one-sided, positive association)
 
-plus two specials: S_RHO_S, the centered sum of squared classical Spearman
-correlations, and S_MAX_TAU, the maximum absolute Kendall tau.
+plus three specials: S_RHO_S, the centered sum of squared classical Spearman
+correlations, S_PEARSON, the same on the data's Pearson correlations (Schott
+2005's baseline), and S_MAX_TAU, the maximum absolute Kendall tau.
 
 rescale() multiplies a raw statistic by the factor that makes it converge
 to a standard normal (or, for S_MAX_TAU, leaves it on the Gumbel scale).
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, SampleTooSmall, UnknownConstant
 from .kernels import DEGREE, KernelId, mu_h_exact
-from .pairwise import PairStatistics, all_pairs_spearman, stacked_pair_values, stacked_spearman
+from .pairwise import PairStatistics, stacked_pair_values, stacked_spearman
 from .ranks import RankMatrix
 
 
@@ -36,6 +37,7 @@ class StatKind(enum.Enum):
     T = "T"
     Z = "Z"
     S_RHO_S = "S_RHO_S"
+    S_PEARSON = "S_PEARSON"
     S_MAX_TAU = "S_MAX_TAU"
 
 
@@ -76,6 +78,7 @@ NAMED_STATISTICS: dict[str, StatisticId] = {
     "t_tstar": StatisticId(StatKind.T, KernelId.T_STAR),
     "z_tstar": StatisticId(StatKind.Z, KernelId.T_STAR),
     "s_rho_s": StatisticId(StatKind.S_RHO_S),
+    "s_pearson": StatisticId(StatKind.S_PEARSON),
     "s_max_tau": StatisticId(StatKind.S_MAX_TAU),
 }
 
@@ -107,14 +110,14 @@ def check_sample_size(statistics, n: int) -> None:
 # ------------------------------------------------------------- raw statistics
 
 def _reduce(statistic: StatisticId, values: np.ndarray, n: int, m: int) -> list[float]:
-    """The raw statistic of each row of (depth, C(m,2)) pair values: S and S_RHO_S the
-    fsum of the squares less C(m,2) times the null mean of one square, T and Z the
-    fsum, S_MAX_TAU the largest absolute value."""
+    """The raw statistic of each row of (depth, C(m,2)) pair values: S, S_RHO_S and
+    S_PEARSON the fsum of the squares less C(m,2) times the null mean of one square,
+    T and Z the fsum, S_MAX_TAU the largest absolute value."""
     kind = statistic.kind
     if kind is StatKind.S_MAX_TAU:
         return np.abs(values).max(axis=1).tolist()
-    if kind is StatKind.S or kind is StatKind.S_RHO_S:
-        mean = Fraction(1, n - 1) if kind is StatKind.S_RHO_S else mu_h_exact(statistic.kernel, n)
+    if kind in (StatKind.S, StatKind.S_RHO_S, StatKind.S_PEARSON):
+        mean = mu_h_exact(statistic.kernel, n) if kind is StatKind.S else Fraction(1, n - 1)
         center = float(math.comb(m, 2) * mean)
         return [math.fsum(row.tolist()) - center for row in values * values]
     return [math.fsum(row.tolist()) for row in values]
@@ -148,14 +151,9 @@ def z_stat(pairs: PairStatistics) -> float:
     return _on_pairs(StatisticId(StatKind.Z, pairs.kernel), pairs)
 
 
-def centered_square_sum(v: np.ndarray, n: int, m: int) -> float:
-    """Sum of the squared correlations v of m variables, less its null mean C(m,2)/(n-1)."""
-    return _reduce(NAMED_STATISTICS["s_rho_s"], v[None], n, m)[0]
-
-
 def s_rho_s(ranks: RankMatrix) -> float:
     """Centered sum of squared Spearman correlations."""
-    return centered_square_sum(all_pairs_spearman(ranks), ranks.n, ranks.m)
+    return raw_statistic(ranks, NAMED_STATISTICS["s_rho_s"])
 
 
 def s_max_tau(pairs: PairStatistics) -> float:
@@ -164,8 +162,8 @@ def s_max_tau(pairs: PairStatistics) -> float:
 
 
 def pair_requirement(statistic: StatisticId) -> tuple[KernelId, str] | None:
-    """Which pair-stage result a statistic consumes (None: Spearman's rho)."""
-    if statistic.kind is StatKind.S_RHO_S:
+    """Which pair-stage result a statistic consumes (None: Spearman's or Pearson's rho)."""
+    if statistic.kind in (StatKind.S_RHO_S, StatKind.S_PEARSON):
         return None
     if statistic.kind is StatKind.S_MAX_TAU:
         return (KernelId.TAU, "U")
@@ -174,9 +172,20 @@ def pair_requirement(statistic: StatisticId) -> tuple[KernelId, str] | None:
     return (statistic.kernel, "U")
 
 
-def stacked_raw_statistics(stack: np.ndarray, statistics, threads: int = 1) -> list[list[float]]:
+def _correlations(statistic: StatisticId, stack: np.ndarray, data) -> np.ndarray:
+    """(depth, C(m,2)) correlations: Spearman's of a rank stack, or Pearson's of its data."""
+    if statistic.kind is StatKind.S_RHO_S:
+        return stacked_spearman(stack)
+    if data is None or np.shape(data) != stack.shape:
+        raise ConfigError("s_pearson needs the data matrix the ranks came from")
+    upper = np.triu_indices(stack.shape[2], 1)
+    return np.array([np.corrcoef(x, rowvar=False)[upper] for x in data])
+
+
+def stacked_raw_statistics(stack: np.ndarray, statistics, threads: int = 1, data=None) -> list[list[float]]:
     """Raw (unrescaled) values of several statistics on each matrix of a
     (depth, n, m) stack of rank matrices: one list of depth values per statistic.
+    ``data``, the (depth, n, m) stack the ranks came from, is read by s_pearson only.
 
     Statistics are grouped by pair_requirement, and one stacked_pair_values call
     computes each pair result once for the whole stack; ``threads`` splits its
@@ -190,14 +199,15 @@ def stacked_raw_statistics(stack: np.ndarray, statistics, threads: int = 1) -> l
     raws = []
     for statistic in stats:
         req = pair_requirement(statistic)
-        raws.append(_reduce(statistic, stacked_spearman(stack) if req is None else pairs[req], n, m))
+        raws.append(_reduce(statistic, _correlations(statistic, stack, data) if req is None else pairs[req], n, m))
     return raws
 
 
-def raw_statistics(ranks: RankMatrix, statistics, threads: int = 1) -> list[float]:
-    """Raw values of several statistics on one rank matrix: stacked_raw_statistics
-    on a stack of one.  Values equal raw_statistic's one by one."""
-    return [row[0] for row in stacked_raw_statistics(ranks.ranks[None], statistics, threads)]
+def raw_statistics(ranks: RankMatrix, statistics, threads: int = 1, data=None) -> list[float]:
+    """Raw values of several statistics on one rank matrix and the data it came from:
+    stacked_raw_statistics on a stack of one.  Values equal raw_statistic's one by one."""
+    stack = None if data is None else np.asarray(data)[None]
+    return [row[0] for row in stacked_raw_statistics(ranks.ranks[None], statistics, threads, stack)]
 
 
 def raw_statistic(ranks: RankMatrix, statistic: StatisticId) -> float:
@@ -225,7 +235,7 @@ def _rescale_factor(statistic: StatisticId, n: int, m: int) -> float:
     from . import constants
 
     kind = statistic.kind
-    if kind is StatKind.S_RHO_S:
+    if kind in (StatKind.S_RHO_S, StatKind.S_PEARSON):
         return n / m
     if kind is StatKind.S_MAX_TAU:
         return 1.0

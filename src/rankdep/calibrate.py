@@ -26,6 +26,7 @@ import numpy as np
 from . import _rng
 from .aggregate import (
     StatisticId,
+    StatKind,
     check_sample_size,
     limit_family,
     raw_statistics,
@@ -136,7 +137,7 @@ def montecarlo_nulls(
     Replicates run in batches of consecutive ones, each batch one stack
     through stacked_raw_statistics; ``threads`` splits a batch's list of
     pairs.  Replicate r's value equals raw_statistics(permutation_ranks(n, m,
-    seed, r), ...) bitwise.
+    seed, r), ...) bitwise.  s_pearson, which reads data, has no permutation null.
     """
     stats = list(statistics)
     if reps < 1:
@@ -144,6 +145,8 @@ def montecarlo_nulls(
     if m < 2:
         raise ConfigError(f"need m >= 2 columns, got {m}")
     check_sample_size(stats, n)
+    if any(statistic.kind is StatKind.S_PEARSON for statistic in stats):
+        raise ConfigError("s_pearson supports only asymptotic calibration")
     depth = min(reps, stack_depth(n, m))
     raws = [[] for _ in stats]
     for lo in range(0, reps, depth):
@@ -208,8 +211,9 @@ def run_tests(
     method: Method = ASYMPTOTIC,
     threads: int = 1,
     null_tables=None,
+    data=None,
 ) -> list[TestResult]:
-    """Full pipeline for several statistics on one rank matrix.
+    """Full pipeline for several statistics on one rank matrix and the data it came from.
 
     The raw values come from one raw_statistics call and, for Monte Carlo,
     the null tables from one montecarlo_nulls pass (unless `null_tables`
@@ -224,7 +228,7 @@ def run_tests(
     for statistic in stats:
         if not montecarlo and limit_family(statistic) == "gumbel" and m < 3:
             raise SampleTooSmall(f"{statistic.name}'s Gumbel limit needs m >= 3, got {m}")
-    raws = raw_statistics(ranks, stats, threads=threads)
+    raws = raw_statistics(ranks, stats, threads=threads, data=data)
     scaled = [rescale(statistic, raw, n, m) for statistic, raw in zip(stats, raws)]
     tables = [None] * len(stats)
     if montecarlo:

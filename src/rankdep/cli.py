@@ -30,7 +30,7 @@ from .errors import (
 )
 from .ranks import REJECT, JitterWithSeed, compute_ranks
 from .selftest import format_report, run_selftest
-from .simgen import FAMILIES, PEARSON, SCATTER_KINDS, SimScenario, run_experiment, write_experiment_csv
+from .simgen import FAMILIES, SCATTER_KINDS, SimScenario, run_experiment, write_experiment_csv
 
 REPORT_SCHEMA = 2
 
@@ -100,9 +100,13 @@ def _split_stats(spec: str) -> list[str]:
 def _write_out(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
-        with open(out, "w") as f:
-            f.write(text)
+        return
+    try:
+        f = open(out, "w")
+    except OSError as e:
+        raise ConfigError(f"cannot write {out}: {e.strerror}") from e
+    with f:
+        f.write(text)
 
 
 def _method(name: str, reps: int, seed: int) -> Method:
@@ -115,7 +119,7 @@ def cmd_test(args) -> int:
     ranks = compute_ranks(data, JitterWithSeed(seed) if args.ties == "jitter" else REJECT)
     stats = [statistic_from_name(s) for s in _split_stats(args.stats)]
     method = _method(args.method, args.reps, seed)
-    results = run_tests(ranks, stats, alpha=args.alpha, method=method, threads=args.threads)
+    results = run_tests(ranks, stats, alpha=args.alpha, method=method, threads=args.threads, data=data)
     report = {"schema": REPORT_SCHEMA, "results": [r.to_dict() for r in results]}
     if args.method == "asymptotic" and ranks.n < 32:
         report["note"] = (
@@ -147,8 +151,7 @@ def cmd_simulate(args) -> int:
         df=args.df,
         contam_fraction=args.contam_fraction,
     )
-    names = _split_stats(args.stats)
-    stats = [name if name == PEARSON else statistic_from_name(name) for name in names]
+    stats = [statistic_from_name(s) for s in _split_stats(args.stats)]
     method = _method(args.method, args.mc_reps, seed)
     rows = run_experiment(
         scenario, stats, reps=args.reps, alpha=args.alpha, method=method, threads=args.threads
@@ -189,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--scatter", choices=SCATTER_KINDS, default="identity")
     s.add_argument("--signal", type=float, default=0.0)
     s.add_argument("--reps", type=int, required=True, help="scenario replicates")
-    s.add_argument("--stats", default="s_tau", help="statistic names, may include s_pearson")
+    s.add_argument("--stats", default="s_tau", help="comma-separated statistic names")
     s.add_argument("--alpha", type=float, default=0.05)
     s.add_argument("--method", choices=["asymptotic", "montecarlo"], default="asymptotic")
     s.add_argument("--mc-reps", type=int, default=999)

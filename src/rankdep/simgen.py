@@ -17,9 +17,8 @@ Determinism: replicate r of a scenario draws from streams keyed by
 (seed, r, purpose); purpose 0 is the base draw, 1 the contamination, 2 the
 tie-breaking jitter.  Changing thread count changes nothing.
 
-s_pearson, the Pearson-correlation baseline of Schott (2005), is s_rho_s's
-centered sum of squares on the data's Pearson correlations, calibrated exactly
-as s_rho_s is; having no permutation null, it supports only asymptotic calibration.
+Each replicate's data goes to run_tests with its ranks, so the data-reading
+s_pearson runs beside the rank statistics, asymptotically only.
 """
 
 from __future__ import annotations
@@ -32,15 +31,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import _rng
-from .aggregate import StatisticId, centered_square_sum, check_sample_size, rescale, statistic_from_name
-from .calibrate import ASYMPTOTIC, Method, MonteCarlo, montecarlo_nulls, normal_pvalue, run_tests
+from .aggregate import StatisticId, check_sample_size, statistic_from_name
+from .calibrate import ASYMPTOTIC, Method, MonteCarlo, montecarlo_nulls, run_tests
 from .errors import ConfigError, InfeasibleSignal, NotPositiveDefinite
 from .ranks import JitterWithSeed, compute_ranks
 
 SCATTER_KINDS = ("identity", "equicorrelation", "pentadiagonal")
 FAMILIES = ("mvn", "mvt", "iid-null", "contaminated-mvn")
-
-PEARSON = "s_pearson"  # harness-only baseline, calibrated as s_rho_s
 
 
 @dataclass(frozen=True)
@@ -94,7 +91,7 @@ def signal_to_rho(signal: float, scatter_kind: str, m: int) -> float:
     """Latent correlation that realizes the requested aggregate signal."""
     if scatter_kind not in SCATTER_KINDS:
         raise ConfigError(f"unknown scatter {scatter_kind!r}")
-    if signal < 0:
+    if not signal >= 0:  # written so that NaN fails too; inf fails the theta check
         raise InfeasibleSignal(f"signal must be nonnegative, got {signal}")
     if signal == 0:
         return 0.0
@@ -176,13 +173,6 @@ class ExperimentRow:
     se: float
 
 
-def _pearson_pvalue(data: np.ndarray) -> float:
-    """s_pearson's p-value: s_rho_s's aggregate and calibration on Pearson correlations."""
-    n, m = data.shape
-    raw = centered_square_sum(np.corrcoef(data, rowvar=False)[np.triu_indices(m, 1)], n, m)
-    return normal_pvalue(rescale(statistic_from_name("s_rho_s"), raw, n, m).rescaled)
-
-
 def run_experiment(
     scenario: SimScenario,
     statistics,
@@ -196,44 +186,37 @@ def run_experiment(
         raise ConfigError(f"reps must be positive, got {reps}")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    sids = [s if isinstance(s, StatisticId) or s == PEARSON else statistic_from_name(s) for s in statistics]
+    sids = [s if isinstance(s, StatisticId) else statistic_from_name(s) for s in statistics]
     if not sids:
         raise ConfigError("no statistics requested")
     # fail fast on an infeasible scenario before burning replicates
     signal_to_rho(scenario.signal, scenario.scatter, scenario.m)
 
     n, m = scenario.n, scenario.m
-    rank_stats = [sid for sid in sids if sid != PEARSON]
-    check_sample_size(rank_stats, n)
-    tables = None
-    if isinstance(method, MonteCarlo):
-        if PEARSON in sids:
-            raise ConfigError("s_pearson supports only asymptotic calibration")
-        tables = montecarlo_nulls(rank_stats, n, m, method.reps, method.seed, threads)
+    check_sample_size(sids, n)
+    montecarlo = isinstance(method, MonteCarlo)
+    tables = montecarlo_nulls(sids, n, m, method.reps, method.seed, threads) if montecarlo else None
 
     pvals = np.empty((len(sids), reps), dtype=np.float64)
     for r in range(reps):
         data = gen_dataset(scenario, r)
         ranks = compute_ranks(data, JitterWithSeed(_rng.mix_key(scenario.seed, r, 2)))
-        results = iter(run_tests(ranks, rank_stats, alpha, method, threads, tables))
-        for i, sid in enumerate(sids):
-            pvals[i, r] = _pearson_pvalue(data) if sid == PEARSON else next(results).p_value
+        pvals[:, r] = [res.p_value for res in run_tests(ranks, sids, alpha, method, threads, tables, data)]
 
-    method_name = "montecarlo" if isinstance(method, MonteCarlo) else "asymptotic"
     rows = []
     for i, sid in enumerate(sids):
         rate = float(np.count_nonzero(pvals[i] <= alpha)) / reps
         se = math.sqrt(rate * (1.0 - rate) / reps)
         rows.append(
             ExperimentRow(
-                statistic=sid if isinstance(sid, str) else sid.name,
+                statistic=sid.name,
                 n=n,
                 m=m,
                 family=scenario.family,
                 scatter=scenario.scatter,
                 signal=scenario.signal,
                 alpha=alpha,
-                method=method_name,
+                method="montecarlo" if montecarlo else "asymptotic",
                 reps=reps,
                 reject_rate=rate,
                 se=se,

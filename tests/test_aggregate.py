@@ -42,7 +42,7 @@ def random_ranks(seed, n, m):
 
 
 def test_named_statistics_catalog():
-    assert len(NAMED_STATISTICS) == 13
+    assert len(NAMED_STATISTICS) == 14
     for name, sid in NAMED_STATISTICS.items():
         assert sid.name == name
         assert str(sid) == name
@@ -168,14 +168,16 @@ def test_raw_statistic_matches_manual_path():
             with pytest.raises(ValueError):
                 reduce(dataclasses.replace(pairs, values=pairs.values[:-1]))
             checked.add(sid.name)
-    assert checked == set(NAMED_STATISTICS) - {"s_rho_s"} | {"t_hoeffd"}
+    assert checked == set(NAMED_STATISTICS) - {"s_rho_s", "s_pearson"} | {"t_hoeffd"}
 
 
 def test_raw_statistics_match_single_statistic_calls():
     # one shared pass (tau W yields the Gram for tau U and rho_hat U) gives
-    # the same bits as each statistic computed on its own
+    # the same bits as each statistic computed on its own; all 13 rank
+    # statistics, without s_pearson, which reads data
     rm = random_ranks(10, 12, 4)
-    stats = list(NAMED_STATISTICS.values())
+    stats = [sid for name, sid in NAMED_STATISTICS.items() if name != "s_pearson"]
+    assert len(stats) == 13
     joint = raw_statistics(rm, stats)
     for sid, value in zip(stats, joint):
         assert value == raw_statistic(rm, sid), sid.name

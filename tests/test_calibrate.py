@@ -109,9 +109,11 @@ def test_mc_null_shape_tables_pinned():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_batches_equal_replicates_one_by_one(threads, monkeypatch):
-    # every statistic, t_rho_hat and t_tstar included, at n = 10 (t_tstar needs 8)
+    # every rank statistic, t_rho_hat and t_tstar included, at n = 10 (t_tstar
+    # needs 8); s_pearson reads data and has no permutation null
     n, m, seed = 10, 4, 23
-    stats = list(NAMED_STATISTICS.values())
+    stats = [sid for name, sid in NAMED_STATISTICS.items() if name != "s_pearson"]
+    assert len(stats) == 13
     depth = stack_depth(n, m)
     assert depth > 40
     singles = [raw_statistics(permutation_ranks(n, m, seed, r), stats, threads) for r in range(11)]
@@ -169,6 +171,23 @@ def test_joint_nulls_match_separate_tables():
         alone = montecarlo_null(sid, n=16, m=5, reps=30, seed=7)
         assert table.statistic == sid
         assert table.values.tobytes() == alone.values.tobytes(), sid.name
+
+
+def test_s_pearson_reads_data_and_has_no_permutation_null():
+    data = np.random.default_rng(3).standard_normal((20, 4))
+    rm = RankMatrix(data.argsort(axis=0).argsort(axis=0) + 1)
+    pearson = statistic_from_name("s_pearson")
+    res = run_tests(rm, [pearson], data=data)[0]
+    r = np.corrcoef(data, rowvar=False)[np.triu_indices(4, 1)]
+    assert res.raw == math.fsum((r * r).tolist()) - 6 / 19
+    assert res.p_value == normal_pvalue(res.raw * (20 / 4))
+    for data_arg in (None, data[:, :3]):
+        with pytest.raises(ConfigError, match="s_pearson needs the data matrix the ranks came from"):
+            run_tests(rm, [S_TAU, pearson], data=data_arg)
+    with pytest.raises(ConfigError, match="s_pearson supports only asymptotic calibration"):
+        montecarlo_null(pearson, n=20, m=4, reps=9, seed=0)
+    with pytest.raises(ConfigError, match="s_pearson supports only asymptotic calibration"):
+        run_tests(rm, [pearson], method=MonteCarlo(reps=9, seed=0), data=data)
 
 
 def test_run_tests_match_run_test():

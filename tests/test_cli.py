@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -315,3 +316,41 @@ def test_simulate_mc_reps_checked_after_stats_before_sample_size(capsys):
     assert capsys.readouterr().err == "error: reps must be positive, got 0\n"
     assert main(base + ["--stats", "s_pearson", "--mc-reps", "9"]) == 3
     assert capsys.readouterr().err == "error: s_pearson supports only asymptotic calibration\n"
+
+
+def test_test_runs_s_pearson_asymptotically_only(tmp_path, capsys):
+    # s_pearson's raw value is the centred sum of squared np.corrcoef entries,
+    # calibrated as s_rho_s is; it has no permutation null
+    p = write_demo_csv(tmp_path / "d.csv", n=30, m=5)
+    assert main(["test", str(p), "--stats", "s_rho_s,s_pearson"]) == 0
+    rho_s, pearson = json.loads(capsys.readouterr().out)["results"]
+    data = read_csv_matrix(str(p))
+    r = np.corrcoef(data, rowvar=False)[np.triu_indices(5, 1)]
+    assert pearson["statistic"] == "s_pearson" and rho_s["statistic"] == "s_rho_s"
+    assert pearson["raw"] == math.fsum((r * r).tolist()) - 10 / 29
+    assert pearson["rescaled"] == pearson["raw"] * (30 / 5)
+    assert pearson["raw"] != rho_s["raw"]
+    argv = ["test", str(p), "--stats", "s_rho_s,s_pearson", "--method", "montecarlo", "--reps", "9"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: s_pearson supports only asymptotic calibration\n"
+
+
+@pytest.mark.parametrize("target", ["missing/x.out", "."])
+def test_unwritable_out_exits_3(tmp_path, capsys, target):
+    p = write_demo_csv(tmp_path / "d.csv", n=16)
+    out = tmp_path / target
+    simulate = ["simulate", "--family", "iid-null", "-n", "12", "-m", "3", "--reps", "2"]
+    for argv in (["test", str(p)], simulate):
+        assert main(argv + ["--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: cannot write {out}: ")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["d.csv"]
+
+
+def test_simulate_nan_signal_exits_3(capsys):
+    for family in ("mvn", "mvt", "contaminated-mvn"):
+        argv = ["simulate", "--family", family, "--scatter", "pentadiagonal", "--signal", "nan",
+                "-n", "10", "-m", "3", "--reps", "2"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: signal must be nonnegative, got nan\n"

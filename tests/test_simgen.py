@@ -11,7 +11,6 @@ from rankdep import (
     InfeasibleSignal,
     MonteCarlo,
     NotPositiveDefinite,
-    PEARSON,
     ScatterSpec,
     SimScenario,
     compute_ranks,
@@ -19,12 +18,13 @@ from rankdep import (
     kendall_tau_fast,
     run_experiment,
     run_test,
+    run_tests,
     signal_to_rho,
     statistic_from_name,
     write_experiment_csv,
 )
 from rankdep.ranks import JitterWithSeed
-from rankdep.simgen import _cached_cholesky, _pearson_pvalue
+from rankdep.simgen import _cached_cholesky
 
 
 def test_scatter_matrices():
@@ -79,6 +79,19 @@ def test_infeasible_signals():
         signal_to_rho(3.0, "equicorrelation", 3)  # theta would hit 1
     with pytest.raises(InfeasibleSignal):
         signal_to_rho(10.88, "pentadiagonal", 10)  # factorization fails
+
+
+@pytest.mark.parametrize("scatter", ["identity", "equicorrelation", "pentadiagonal"])
+def test_non_finite_signals_infeasible(scatter):
+    # NaN fails every comparison, and Cholesky of a NaN pentadiagonal matrix
+    # does not raise, so NaN is refused before any scatter is built
+    with pytest.raises(InfeasibleSignal, match="signal must be nonnegative, got nan"):
+        signal_to_rho(math.nan, scatter, 5)
+    with pytest.raises(InfeasibleSignal):
+        signal_to_rho(math.inf, scatter, 5)
+    for family in ("mvn", "mvt", "contaminated-mvn"):
+        with pytest.raises(InfeasibleSignal):
+            run_experiment(SimScenario(family, 10, 3, scatter=scatter, signal=math.nan), ["s_tau"], reps=2)
 
 
 def test_scenario_validation():
@@ -150,7 +163,7 @@ def test_sine_map_recovers_target_tau():
 
 def test_run_experiment_rows_and_threads():
     sc = SimScenario("mvn", 24, 4, scatter="equicorrelation", signal=0.5, seed=3)
-    stats = ["s_tau", "s_rho_s", PEARSON]
+    stats = ["s_tau", "s_rho_s", "s_pearson"]
     rows1 = run_experiment(sc, stats, reps=20, threads=1)
     rows4 = run_experiment(sc, stats, reps=20, threads=4)
     assert rows1 == rows4
@@ -172,7 +185,7 @@ def test_run_experiment_per_pair_kernels_thread_invariant():
 
 def test_run_experiment_rejects_threads_below_one():
     sc = SimScenario("iid-null", 12, 3, seed=4)
-    for stats in (["s_tau"], [PEARSON]):
+    for stats in (["s_tau"], ["s_pearson"]):
         with pytest.raises(ConfigError, match="threads must be >= 1"):
             run_experiment(sc, stats, reps=2, threads=0)
 
@@ -191,7 +204,7 @@ def test_run_experiment_validation():
     with pytest.raises(ConfigError):
         run_experiment(sc, [], reps=5)
     with pytest.raises(ConfigError):
-        run_experiment(sc, [PEARSON], reps=5, method=MonteCarlo(reps=9, seed=0))
+        run_experiment(sc, ["s_pearson"], reps=5, method=MonteCarlo(reps=9, seed=0))
     bad = SimScenario("mvn", 16, 4, scatter="identity", signal=0.5)
     with pytest.raises(InfeasibleSignal):
         run_experiment(bad, ["s_tau"], reps=5)
@@ -215,7 +228,9 @@ def test_s_pearson_is_calibrated_as_s_rho_s():
         sc = SimScenario("mvn", 30, 5, scatter="equicorrelation", signal=0.4, seed=seed)
         ranks = compute_ranks(gen_dataset(sc, 0))
         rho_s = run_test(ranks, statistic_from_name("s_rho_s"))
-        assert _pearson_pvalue(ranks.ranks.astype(float)) == pytest.approx(rho_s.p_value, rel=1e-9)
+        stats = [statistic_from_name("s_pearson")]
+        pearson = run_tests(ranks, stats, data=ranks.ranks.astype(float))[0]
+        assert pearson.p_value == pytest.approx(rho_s.p_value, rel=1e-9)
 
 
 def test_scatter_factored_once_per_scenario(monkeypatch):
@@ -224,5 +239,5 @@ def test_scatter_factored_once_per_scenario(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
     _cached_cholesky.cache_clear()
     sc = SimScenario("mvt", 20, 7, scatter="pentadiagonal", signal=0.5, seed=2)
-    run_experiment(sc, ["s_tau", PEARSON], reps=4)
+    run_experiment(sc, ["s_tau", "s_pearson"], reps=4)
     assert calls == [(7, 7)]
