@@ -17,12 +17,7 @@ from .aggregate import (
     raw_statistic,
     raw_statistics,
     rescale,
-    s_max_tau,
-    s_rho_s,
-    s_stat,
     statistic_from_name,
-    t_stat,
-    z_stat,
 )
 from .calibrate import (
     ASYMPTOTIC,
@@ -40,6 +35,7 @@ from .calibrate import (
 )
 from .errors import (
     ConfigError,
+    DegenerateColumn,
     DomainError,
     ExactnessCeiling,
     InfeasibleSignal,

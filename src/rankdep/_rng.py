@@ -8,8 +8,7 @@ is split across threads.
 
 generator() defines a stream.  keyed_permutations() draws many keyed
 permutations from one Philox that it re-keys before each row, with the same
-keys and so the same draws, without building a generator per row;
-permutations() keys its rows as generator(*parts, row) does.
+keys and so the same draws, without building a generator per row.
 """
 
 from __future__ import annotations
@@ -47,14 +46,6 @@ def splitmix64_array(base: int, idx: np.ndarray) -> np.ndarray:
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         return z ^ (z >> np.uint64(31))
-
-
-def permutations(n: int, count: int, *parts: int) -> np.ndarray:
-    """(count, n) int64; row c equals generator(*parts, c).permutation(n).
-
-    The row keys are mix_key(*parts, c) = splitmix64_array(mix_key(*parts), c).
-    """
-    return keyed_permutations(n, splitmix64_array(mix_key(*parts), np.arange(count)))
 
 
 def keyed_permutations(n: int, keys: np.ndarray) -> np.ndarray:

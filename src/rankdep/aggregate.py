@@ -26,9 +26,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, SampleTooSmall, UnknownConstant
+from .errors import ConfigError, DegenerateColumn, SampleTooSmall, UnknownConstant
 from .kernels import DEGREE, KernelId, mu_h_exact
-from .pairwise import PairStatistics, stacked_pair_values, stacked_spearman
+from .pairwise import stacked_pair_values, stacked_spearman
 from .ranks import RankMatrix
 
 
@@ -123,44 +123,6 @@ def _reduce(statistic: StatisticId, values: np.ndarray, n: int, m: int) -> list[
     return [math.fsum(row.tolist()) for row in values]
 
 
-def _on_pairs(statistic: StatisticId, pairs: PairStatistics) -> float:
-    """The raw statistic of one pair-stage result, checked against the result the
-    statistic reads, its C(m,2) values and the statistic's minimum n."""
-    need = pair_requirement(statistic)
-    if (pairs.kernel, pairs.kind) != need:
-        raise ValueError(f"{statistic.name} reads {need[0].key} {need[1]} pairs, got {pairs.kernel.key} {pairs.kind}")
-    npairs = math.comb(pairs.m, 2)
-    if pairs.values.shape != (npairs,):
-        raise ValueError(f"{statistic.name}: expected {npairs} pair values")
-    check_sample_size([statistic], pairs.n)
-    return _reduce(statistic, pairs.values[None], pairs.n, pairs.m)[0]
-
-
-def s_stat(pairs: PairStatistics) -> float:
-    """Sum of squared U-statistics minus its exact null mean."""
-    return _on_pairs(StatisticId(StatKind.S, pairs.kernel), pairs)
-
-
-def t_stat(pairs: PairStatistics) -> float:
-    """Sum of W-statistics over all pairs."""
-    return _on_pairs(StatisticId(StatKind.T, pairs.kernel), pairs)
-
-
-def z_stat(pairs: PairStatistics) -> float:
-    """Plain sum of U-statistics (sensitive to positive association only)."""
-    return _on_pairs(StatisticId(StatKind.Z, pairs.kernel), pairs)
-
-
-def s_rho_s(ranks: RankMatrix) -> float:
-    """Centered sum of squared Spearman correlations."""
-    return raw_statistic(ranks, NAMED_STATISTICS["s_rho_s"])
-
-
-def s_max_tau(pairs: PairStatistics) -> float:
-    """Maximum absolute Kendall tau over all pairs."""
-    return _on_pairs(NAMED_STATISTICS["s_max_tau"], pairs)
-
-
 def pair_requirement(statistic: StatisticId) -> tuple[KernelId, str] | None:
     """Which pair-stage result a statistic consumes (None: Spearman's or Pearson's rho)."""
     if statistic.kind in (StatKind.S_RHO_S, StatKind.S_PEARSON):
@@ -179,7 +141,13 @@ def _correlations(statistic: StatisticId, stack: np.ndarray, data) -> np.ndarray
     if data is None or np.shape(data) != stack.shape:
         raise ConfigError("s_pearson needs the data matrix the ranks came from")
     upper = np.triu_indices(stack.shape[2], 1)
-    return np.array([np.corrcoef(x, rowvar=False)[upper] for x in data])
+    with np.errstate(all="ignore"):
+        r = np.array([np.corrcoef(x, rowvar=False) for x in data])
+    bad = ~np.isfinite(r)
+    if bad.any():  # a degenerate column's whole row is NaN, so it has the most
+        column = int(np.argmax(bad.sum(axis=2).max(axis=0)))
+        raise DegenerateColumn(f"{statistic.name} is undefined: column {column} has zero or non-finite variance")
+    return r[:, upper[0], upper[1]]
 
 
 def stacked_raw_statistics(stack: np.ndarray, statistics, threads: int = 1, data=None) -> list[list[float]]:

@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 1 selftest failure, 2 data problem (unparseable file,
 ties under the reject policy, sample too small, n above an exactness
-ceiling), 3 configuration problem.
+ceiling, a zero- or non-finite-variance column under s_pearson), 3
+configuration problem (an unwritable --out is found before any input is read).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -21,6 +23,7 @@ from .aggregate import statistic_from_name
 from .calibrate import ASYMPTOTIC, Method, MonteCarlo, run_tests
 from .errors import (
     ConfigError,
+    DegenerateColumn,
     ExactnessCeiling,
     LengthMismatch,
     ParseError,
@@ -109,11 +112,26 @@ def _write_out(text: str, out: str | None) -> None:
         f.write(text)
 
 
+def _check_out(out: str | None) -> None:
+    """Raise _write_out's error before a run if ``out`` cannot be written, creating nothing."""
+    if out is None or out == "-":
+        return
+    parent = os.path.dirname(out) or "."
+    if os.path.isdir(out) or not os.path.isdir(parent):
+        code = errno.EISDIR if os.path.isdir(out) else errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(out if os.path.exists(out) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ConfigError(f"cannot write {out}: {os.strerror(code)}")
+
+
 def _method(name: str, reps: int, seed: int) -> Method:
     return MonteCarlo(reps=reps, seed=seed) if name == "montecarlo" else ASYMPTOTIC
 
 
 def cmd_test(args) -> int:
+    _check_out(args.out)
     seed = args.seed if args.seed is not None else _default_seed()
     data = read_csv_matrix(args.data)
     ranks = compute_ranks(data, JitterWithSeed(seed) if args.ties == "jitter" else REJECT)
@@ -140,6 +158,7 @@ def cmd_test(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_out(args.out)
     seed = args.seed if args.seed is not None else _default_seed()
     scenario = SimScenario(
         family=args.family,
@@ -213,7 +232,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ParseError, TiesPresent, SampleTooSmall, LengthMismatch, ExactnessCeiling) as e:
+    except (ParseError, TiesPresent, SampleTooSmall, LengthMismatch, ExactnessCeiling, DegenerateColumn) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RankdepError as e:

@@ -26,6 +26,10 @@ class ExactnessCeiling(RankdepError, ValueError):
     """Sample size above the largest n at which a pair statistic is exact."""
 
 
+class DegenerateColumn(RankdepError):
+    """A data column's variance is zero or not finite, so its correlations are undefined."""
+
+
 class WrongArity(RankdepError):
     """Kernel evaluated on a tuple whose size is not the kernel degree."""
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ from rankdep import (
     ConfigError,
     KernelId,
     NAMED_STATISTICS,
-    PairStatistics,
     RankMatrix,
     SampleTooSmall,
     StatisticId,
@@ -20,15 +18,9 @@ from rankdep import (
     raw_statistic,
     raw_statistics,
     rescale,
-    s_max_tau,
-    s_rho_s,
-    s_stat,
     statistic_from_name,
-    t_stat,
-    z_stat,
 )
 from rankdep._rng import generator
-from rankdep.aggregate import pair_requirement
 
 
 def identical_columns(n, m):
@@ -80,8 +72,7 @@ def test_s_stat_identical_columns_exact():
     # every pairwise tau is exactly 1, so S = C(m,2) * (1 - mu(n))
     n, m = 5, 4
     rm = identical_columns(n, m)
-    pairs = all_pairs(rm, KernelId.TAU, "U")
-    got = s_stat(pairs)
+    got = raw_statistic(rm, statistic_from_name("s_tau"))
     assert got == 6 - 6 * float(mu_h_exact(KernelId.TAU, n))
     assert got == 5.0
 
@@ -89,48 +80,30 @@ def test_s_stat_identical_columns_exact():
 def test_s_stat_hoeffding_center():
     n, m = 10, 3
     rm = identical_columns(n, m)
-    pairs = all_pairs(rm, KernelId.HOEFF_D, "U")
     want = 3 * (1 / 30) ** 2 - 3 * float(mu_h_exact(KernelId.HOEFF_D, n))
-    assert s_stat(pairs) == pytest.approx(want, rel=1e-14)
+    assert raw_statistic(rm, statistic_from_name("s_d")) == pytest.approx(want, rel=1e-14)
 
 
 def test_s_stat_argument_checks():
-    rm = identical_columns(6, 3)
-    wpairs = all_pairs(rm, KernelId.TAU, "W")
-    with pytest.raises(ValueError):
-        s_stat(wpairs)
-    small = all_pairs(identical_columns(3, 3), KernelId.TAU, "U")
+    # every statistic checks its own minimum n, not only the pair stage's
+    small = identical_columns(3, 3)
+    for name in ("s_tau", "t_tau", "z_tstar"):  # n >= 4
+        with pytest.raises(SampleTooSmall):
+            raw_statistic(small, statistic_from_name(name))
     with pytest.raises(SampleTooSmall):
-        s_stat(small)
-    # every reducer checks its statistic's minimum n, not only the pair stage's
-    three = np.zeros(3)
-    with pytest.raises(SampleTooSmall):
-        t_stat(PairStatistics(KernelId.TAU, "W", three, n=3, m=3))  # t_tau: n >= 4
-    with pytest.raises(SampleTooSmall):
-        z_stat(PairStatistics(KernelId.T_STAR, "U", three, n=3, m=3))  # z_tstar: n >= 4
-    with pytest.raises(SampleTooSmall):
-        s_max_tau(PairStatistics(KernelId.TAU, "U", np.zeros(1), n=1, m=2))
+        raw_statistic(identical_columns(1, 2), statistic_from_name("s_max_tau"))
 
 
 def test_sums_on_identical_columns():
     rm = identical_columns(6, 4)
-    upairs = all_pairs(rm, KernelId.TAU, "U")
-    wpairs = all_pairs(rm, KernelId.TAU, "W")
-    assert z_stat(upairs) == 6.0
-    assert t_stat(wpairs) == 6.0
-    assert s_max_tau(upairs) == 1.0
+    assert raw_statistic(rm, statistic_from_name("z_tau")) == 6.0
+    assert raw_statistic(rm, statistic_from_name("t_tau")) == 6.0
+    assert raw_statistic(rm, statistic_from_name("s_max_tau")) == 1.0
 
 
 def test_s_rho_s_small_exact():
     rm = identical_columns(5, 2)
-    assert s_rho_s(rm) == 0.75  # 1 - 1/(n-1)
-
-
-def test_s_max_tau_requires_tau_pairs():
-    rm = identical_columns(6, 3)
-    pairs = all_pairs(rm, KernelId.RHO_HAT, "U")
-    with pytest.raises(ValueError):
-        s_max_tau(pairs)
+    assert raw_statistic(rm, statistic_from_name("s_rho_s")) == 0.75  # 1 - 1/(n-1)
 
 
 def test_s_max_tau_column_order_invariant():
@@ -150,25 +123,25 @@ def test_raw_statistic_guards_sample_size():
 
 
 def test_raw_statistic_matches_manual_path():
-    # each pair-object reducer, given the pair result its statistic reads,
-    # equals raw_statistic bitwise; given any other result, or C(m,2) - 1
-    # values, it raises ValueError
-    rm = random_ranks(9, 12, 4)
-    results = [all_pairs(rm, kernel, kind) for kernel in KernelId for kind in "UW"]
-    reducers = {StatKind.S: s_stat, StatKind.T: t_stat, StatKind.Z: z_stat, StatKind.S_MAX_TAU: s_max_tau}
-    checked = set()
-    for kind, reduce in reducers.items():
-        for pairs in results:
-            sid = StatisticId(kind, None if kind is StatKind.S_MAX_TAU else pairs.kernel)
-            if pair_requirement(sid) != (pairs.kernel, pairs.kind):
-                with pytest.raises(ValueError):
-                    reduce(pairs)
-                continue
-            assert reduce(pairs) == raw_statistic(rm, sid), sid.name
-            with pytest.raises(ValueError):
-                reduce(dataclasses.replace(pairs, values=pairs.values[:-1]))
-            checked.add(sid.name)
-    assert checked == set(NAMED_STATISTICS) - {"s_rho_s", "s_pearson"} | {"t_hoeffd"}
+    # raw_statistic equals, bitwise, its reduction written out here from the
+    # all_pairs values it reads: S the fsum of the squares less C(m,2) times
+    # the null mean of one square, T and Z the fsum, s_max_tau the largest |tau|
+    n, m = 12, 4
+    rm = random_ranks(9, n, m)
+    stats = [sid for name, sid in NAMED_STATISTICS.items() if name not in ("s_rho_s", "s_pearson")]
+    stats.append(StatisticId(StatKind.T, KernelId.HOEFF_D))
+    for sid in stats:
+        if sid.kind is StatKind.S_MAX_TAU:
+            v = all_pairs(rm, KernelId.TAU, "U").values
+            want = max(abs(x) for x in v.tolist())
+        elif sid.kind is StatKind.S:
+            v = all_pairs(rm, sid.kernel, "U").values
+            want = math.fsum((v * v).tolist()) - float(math.comb(m, 2) * mu_h_exact(sid.kernel, n))
+        else:
+            v = all_pairs(rm, sid.kernel, "W" if sid.kind is StatKind.T else "U").values
+            want = math.fsum(v.tolist())
+        assert raw_statistic(rm, sid) == want, sid.name
+    assert len(stats) == 13 and stats[-1].name == "t_hoeffd"
 
 
 def test_raw_statistics_match_single_statistic_calls():

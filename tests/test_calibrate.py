@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from rankdep import _rng, calibrate
 from rankdep import (
     ASYMPTOTIC,
     ConfigError,
+    DegenerateColumn,
     DomainError,
     NAMED_STATISTICS,
     MonteCarlo,
@@ -128,13 +130,17 @@ def test_batches_equal_replicates_one_by_one(threads, monkeypatch):
             assert table.values.tobytes() == np.sort(want).tobytes(), (forced, reps, sid.name)
 
 
+def keyed_rows(n, count, *parts):
+    return _rng.keyed_permutations(n, _rng.splitmix64_array(_rng.mix_key(*parts), np.arange(count)))
+
+
 def test_rekeyed_permutations_match_generator():
     for parts in [(), (4,), (2**64 - 1, -1, 9)]:
-        rows = _rng.permutations(17, 5, *parts)
+        rows = keyed_rows(17, 5, *parts)
         assert rows.shape == (5, 17) and rows.dtype == np.int64
         for c in range(5):
             assert np.array_equal(rows[c], _rng.generator(*parts, c).permutation(17))
-    assert _rng.permutations(4, 0, 1).shape == (0, 4)
+    assert keyed_rows(4, 0, 1).shape == (0, 4)
 
 
 def test_montecarlo_null_sorted_and_thread_invariant():
@@ -188,6 +194,24 @@ def test_s_pearson_reads_data_and_has_no_permutation_null():
         montecarlo_null(pearson, n=20, m=4, reps=9, seed=0)
     with pytest.raises(ConfigError, match="s_pearson supports only asymptotic calibration"):
         run_tests(rm, [pearson], method=MonteCarlo(reps=9, seed=0), data=data)
+
+
+def test_s_pearson_on_a_degenerate_column_raises():
+    # a zero variance, or one that overflows float64, leaves the correlations undefined
+    data = np.random.default_rng(4).standard_normal((6, 3))
+    flat, huge = data.copy(), data.copy()
+    flat[:, 1] = 1.0
+    huge[:, 2] *= 1e307
+    pearson = statistic_from_name("s_pearson")
+    for x, column in ((flat, 1), (huge, 2)):
+        rm = RankMatrix(x.argsort(axis=0, kind="stable").argsort(axis=0) + 1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            want = f"s_pearson is undefined: column {column} has zero or non-finite variance"
+            with pytest.raises(DegenerateColumn, match=want):
+                run_tests(rm, [S_TAU, pearson], data=x)
+            run_tests(rm, [S_TAU], data=x)
+        assert caught == []
 
 
 def test_run_tests_match_run_test():

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -336,8 +337,31 @@ def test_test_runs_s_pearson_asymptotically_only(tmp_path, capsys):
     assert captured.out == "" and captured.err == "error: s_pearson supports only asymptotic calibration\n"
 
 
+@pytest.mark.parametrize(
+    "first, ties", [("1,1,1,1,1", "jitter"), ("1e308,-1e308,5e307,-5e307,1.5e308", "reject")]
+)
+def test_s_pearson_on_a_degenerate_column_exits_2(tmp_path, capsys, first, ties):
+    # a constant column, or one whose variance overflows float64, has no Pearson correlation
+    p = tmp_path / "d.csv"
+    rows = zip(first.split(","), ["1", "3", "2", "5", "4"], ["0.5", "0.2", "0.9", "0.1", "0.7"])
+    p.write_text("".join(",".join(r) + "\n" for r in rows))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["test", str(p), "--stats", "s_pearson", "--ties", ties]) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: s_pearson is undefined: column 0 has zero or non-finite variance\n"
+
+
 @pytest.mark.parametrize("target", ["missing/x.out", "."])
-def test_unwritable_out_exits_3(tmp_path, capsys, target):
+def test_unwritable_out_exits_3(tmp_path, capsys, monkeypatch, target):
+    # the path is checked before any input is read or any run starts
+    def unreached(*args, **kwargs):
+        raise AssertionError("run reached with an unwritable --out")
+
+    for name in ("read_csv_matrix", "run_tests", "run_experiment"):
+        monkeypatch.setattr(f"rankdep.cli.{name}", unreached)
     p = write_demo_csv(tmp_path / "d.csv", n=16)
     out = tmp_path / target
     simulate = ["simulate", "--family", "iid-null", "-n", "12", "-m", "3", "--reps", "2"]
