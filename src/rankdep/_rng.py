@@ -1,14 +1,15 @@
 """Keyed random streams.
 
-Every random draw in the package comes from a Philox generator whose key is
-derived by mixing a user seed with integer context labels (replicate index,
-column index, purpose tag).  Streams with different labels are independent,
-and the same labels always reproduce the same stream regardless of how work
-is split across threads.
+Every random draw in the package is a function of a user seed mixed with
+integer context labels (replicate index, column index, purpose tag).
+Streams with different labels are independent, and the same labels always
+reproduce the same stream regardless of how work is split across threads.
 
-generator() defines a stream.  keyed_permutations() draws many keyed
-permutations from one Philox that it re-keys before each row, with the same
-keys and so the same draws, without building a generator per row.
+generator() defines a Philox stream for continuous draws.  key_grid() gives
+the splitmix64 keys that permutations and tie-breaks sort: base b, column c,
+row i hashes to splitmix64(splitmix64(b ^ c) ^ i).  splitmix64 is a
+bijection, so the keys within a column are distinct and any sort orders them
+the same way.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def splitmix64(x: int) -> int:
 
 
 def mix_key(*parts: int) -> int:
-    """Fold integer labels into a single 64-bit Philox key."""
+    """Fold integer labels into a single 64-bit key."""
     state = 0x6A09E667F3BCC909
     for p in parts:
         state = splitmix64(state ^ (int(p) & _MASK))
@@ -48,19 +49,10 @@ def splitmix64_array(base: int, idx: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def keyed_permutations(n: int, keys: np.ndarray) -> np.ndarray:
-    """(len(keys), n) int64; row c equals Philox(key=keys[c])'s Generator.permutation(n).
+def key_grid(bases, m: int, n: int) -> np.ndarray:
+    """(len(bases), m, n) uint64; [b, c, i] = splitmix64(splitmix64(bases[b] ^ c) ^ i).
 
-    The Philox is built per call, not per module, so concurrent callers stay
-    independent.
+    With base mix_key(*parts), column c's keys are those of mix_key(*parts, c).
     """
-    bitgen = np.random.Philox(key=0)
-    gen = np.random.Generator(bitgen)
-    fresh = bitgen.state  # counter zero, empty buffer: where Philox(key=k) starts
-    key = fresh["state"]["key"]
-    out = np.empty((len(keys), n), dtype=np.int64)
-    for c, k in enumerate(keys):
-        key[0] = k
-        bitgen.state = fresh
-        out[c] = gen.permutation(n)
-    return out
+    columns = splitmix64_array(np.array(bases, dtype=np.uint64)[:, None], np.arange(m))
+    return splitmix64_array(columns[:, :, None], np.arange(n))

@@ -6,14 +6,14 @@ t = (9n/4) s^2 - 4 log m + log log m, the null distribution of t converges
 to F(t) = exp(-exp(-t/2) / sqrt(8 pi)).
 
 The Monte Carlo path draws `reps` independent permutation datasets (each
-column its own Fisher-Yates stream keyed by (seed, replicate, column)),
-evaluates the raw statistic on each, and uses the add-one estimator
+column the argsort of its own splitmix64 keys, keyed by (seed, replicate,
+column)), evaluates the raw statistic on each, and uses the add-one estimator
 p = (1 + #{null >= observed}) / (reps + 1).  Replicates run in batches: one
 (depth, n, m) stack of consecutive replicates at a time, as many as
-pairwise.stack_depth fits in its byte budget, drawn by re-keying one Philox
-and passed through the pair stage together.  Every value is exact-integer up
-to one rounding and each replicate is reduced on its own, so a table does
-not depend on the batches or on the thread count.
+pairwise.stack_depth fits in its byte budget, drawn by one argsort of their
+key grid and passed through the pair stage together.  Every value is
+exact-integer up to one rounding and each replicate is reduced on its own,
+so a table does not depend on the batches or on the thread count.
 """
 
 from __future__ import annotations
@@ -105,19 +105,17 @@ class NullTable:
 def _permutation_stack(n: int, m: int, seed: int, replicates: range) -> np.ndarray:
     """(depth, n, m) stack of permutation_ranks(n, m, seed, r).ranks for r in
     replicates, unchecked: its columns are permutations by construction."""
-    bases = np.array([_rng.mix_key(seed, r) for r in replicates], dtype=np.uint64)
-    keys = _rng.splitmix64_array(bases[:, None], np.arange(m))  # keys[b, c] = mix_key(seed, r, c)
-    cols = _rng.keyed_permutations(n, keys.ravel()).reshape(len(replicates), m, n)
+    cols = np.argsort(_rng.key_grid([_rng.mix_key(seed, r) for r in replicates], m, n), axis=-1)
     cols += 1
-    return cols.transpose(0, 2, 1)
+    return cols.astype(np.int64, copy=False).transpose(0, 2, 1)
 
 
 def permutation_ranks(n: int, m: int, seed: int, replicate: int) -> RankMatrix:
     """Independent uniform rank columns, keyed by (seed, replicate, column).
 
-    Column c is _rng.generator(seed, replicate, c).permutation(n) + 1, drawn
-    by one re-keyed Philox (_rng.keyed_permutations), one per batch in the
-    Monte Carlo null.
+    Column c is 1 + the argsort over rows i of
+    splitmix64(splitmix64(mix_key(seed, replicate) ^ c) ^ i), the grid of
+    _rng.key_grid; the Monte Carlo null sorts one grid per batch.
     """
     return RankMatrix(_permutation_stack(n, m, seed, range(replicate, replicate + 1))[0])
 
@@ -217,14 +215,17 @@ def run_tests(
 
     The raw values come from one raw_statistics call and, for Monte Carlo,
     the null tables from one montecarlo_nulls pass (unless `null_tables`
-    gives one table per statistic, drawn with the method's reps and seed).
-    Result i equals run_test for statistics[i].
+    gives one table per statistic, drawn with the method's reps and seed;
+    tables need a MonteCarlo method).  Result i equals run_test for
+    statistics[i].
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     stats = list(statistics)
     n, m = ranks.n, ranks.m
     montecarlo = isinstance(method, MonteCarlo)
+    if null_tables is not None and not montecarlo:
+        raise ConfigError(f"null tables need method MonteCarlo, got {method!r}")
     for statistic in stats:
         if not montecarlo and limit_family(statistic) == "gumbel" and m < 3:
             raise SampleTooSmall(f"{statistic.name}'s Gumbel limit needs m >= 3, got {m}")

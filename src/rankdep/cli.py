@@ -116,7 +116,8 @@ def _check_out(out: str | None) -> None:
     """Raise _write_out's error before a run if ``out`` cannot be written, creating nothing."""
     if out is None or out == "-":
         return
-    parent = os.path.dirname(out) or "."
+    # a bare file name lives in ".", but "" names no file: open("") fails with ENOENT
+    parent = os.path.dirname(out) or ("." if out else "")
     if os.path.isdir(out) or not os.path.isdir(parent):
         code = errno.EISDIR if os.path.isdir(out) else errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
     elif not os.access(out if os.path.exists(out) else parent, os.W_OK):

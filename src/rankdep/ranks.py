@@ -31,9 +31,10 @@ class Reject:
 class JitterWithSeed:
     """Tie policy: break ties by a keyed hash of the row index.
 
-    Tied values are ordered by splitmix64(seed, column, row), so the result
-    is deterministic given the seed and does not depend on thread count or
-    on the order in which columns are processed.
+    Tied values are ordered by _rng.key_grid's splitmix64 hash of (seed,
+    column, row) with base mix_key(seed), so the result is deterministic
+    given the seed and does not depend on thread count or on the order in
+    which columns are processed.
     """
 
     seed: int
@@ -92,9 +93,8 @@ def _sort_columns(x: np.ndarray, tie_policy: TiePolicy) -> tuple[np.ndarray, lis
     once per value repeated in a column; under JitterWithSeed there are none.
     """
     xt = np.ascontiguousarray(x.T)
-    if isinstance(tie_policy, JitterWithSeed):  # column j's keys: mix_key(seed, j), then row
-        column_keys = _rng.splitmix64_array(_rng.mix_key(tie_policy.seed), np.arange(len(xt)))
-        return np.lexsort((_rng.splitmix64_array(column_keys[:, None], np.arange(xt.shape[1])), xt)), []
+    if isinstance(tie_policy, JitterWithSeed):
+        return np.lexsort((_rng.key_grid([_rng.mix_key(tie_policy.seed)], *xt.shape)[0], xt)), []
     order = np.argsort(xt, axis=1, kind="stable")
     s = np.take_along_axis(xt, order, axis=1)
     first = s[:, 1:] == s[:, :-1]

@@ -77,26 +77,45 @@ def test_permutation_ranks_keyed_streams():
 
 @pytest.mark.parametrize("n", [2, 3, 5, 64, 129, 300])
 def test_permutation_ranks_follow_keyed_generator(n):
-    # column c is the scalar stream keyed by (seed, replicate, c), however it is drawn
+    # column c is 1 + the argsort over rows i of
+    # splitmix64(splitmix64(mix_key(seed, replicate) ^ c) ^ i), here in Python ints
     for seed in (0, 11, 2**63 + 5, -3):
         for replicate in (0, 7, 1999):
             got = permutation_ranks(n, 3, seed=seed, replicate=replicate).ranks
+            assert got.dtype == np.int64
+            base = _rng.mix_key(seed, replicate)
             for c in range(3):
-                want = _rng.generator(seed, replicate, c).permutation(n) + 1
-                assert np.array_equal(got[:, c], want), (seed, replicate, c)
+                column = _rng.splitmix64(base ^ c)
+                keys = [_rng.splitmix64(column ^ i) for i in range(n)]
+                want = [1 + i for i in sorted(range(n), key=keys.__getitem__)]
+                assert got[:, c].tolist() == want, (seed, replicate, c)
 
 
 def test_permutation_stream_pinned():
-    # literals drawn by one Philox(key=mix_key(seed, replicate, c)) per column
+    # literals from the splitmix64 key grid of (seed, replicate, column, row)
     assert permutation_ranks(10, 3, seed=5, replicate=2).ranks.T.tolist() == [
-        [7, 9, 2, 6, 8, 4, 5, 10, 1, 3],
-        [7, 10, 4, 3, 1, 6, 9, 2, 8, 5],
-        [8, 7, 10, 2, 3, 4, 5, 6, 1, 9],
+        [6, 3, 7, 1, 9, 8, 10, 2, 5, 4],
+        [1, 8, 4, 5, 7, 10, 9, 3, 6, 2],
+        [3, 4, 7, 2, 6, 5, 8, 10, 1, 9],
     ]
     values = montecarlo_null(S_TAU, n=32, m=8, reps=200, seed=12).values
     assert hashlib.sha256(values.tobytes()).hexdigest() == (
-        "c469f4a2f98669a900ceee6168afb127322af8655af49544a176b1d81420a6ea"
+        "d501470adf49b74a6d1743eb9600f3c7d26835ddf1c544adca5d4be77762d4fa"
     )
+
+
+def test_permutation_draws_are_uniform_at_n4():
+    # chi-squared over the 24 patterns, at a seed fixed before looking; 49.728
+    # is the 0.999 quantile of chi-squared with 23 degrees of freedom
+    reps = 4800
+    stack = calibrate._permutation_stack(4, 2, 2026, range(reps)) - 1
+    first, second = stack[:, :, 0], stack[:, :, 1]
+    relative = np.take_along_axis(second, np.argsort(first, axis=1), axis=1)
+    for name, patterns in (("column 0", first), ("column 1", second), ("1 relative to 0", relative)):
+        _, counts = np.unique(patterns @ np.array([64, 16, 4, 1]), return_counts=True)
+        assert len(counts) == 24, name
+        expected = reps / 24
+        assert ((counts - expected) ** 2 / expected).sum() < 49.728, name
 
 
 def test_mc_null_shape_tables_pinned():
@@ -104,8 +123,8 @@ def test_mc_null_shape_tables_pinned():
     stats = [S_TAU, statistic_from_name("s_max_tau")]
     tables = montecarlo_nulls(stats, n=64, m=32, reps=199, seed=11)
     assert [hashlib.sha256(t.values.tobytes()).hexdigest() for t in tables] == [
-        "e545b8440690b7f8adb62eaffbd9607c096f9424df9ba6a2a81ba530e5eb9555",
-        "0014321559212c2477be1043d701839a271d2b744cff94e92631824b28f3b14c",
+        "815d8844489f8ae9b4230dd392647b3d7333b685e264ce61ff36b14a7c8c682d",
+        "086d32eb0e0adb360fd2e51526ac61ba561da32588f40b19d84bf906f794eac7",
     ]
 
 
@@ -128,19 +147,6 @@ def test_batches_equal_replicates_one_by_one(threads, monkeypatch):
         tables = montecarlo_nulls(stats, n, m, reps, seed, threads)
         for sid, table, want in zip(stats, tables, np.array(singles[:reps]).T):
             assert table.values.tobytes() == np.sort(want).tobytes(), (forced, reps, sid.name)
-
-
-def keyed_rows(n, count, *parts):
-    return _rng.keyed_permutations(n, _rng.splitmix64_array(_rng.mix_key(*parts), np.arange(count)))
-
-
-def test_rekeyed_permutations_match_generator():
-    for parts in [(), (4,), (2**64 - 1, -1, 9)]:
-        rows = keyed_rows(17, 5, *parts)
-        assert rows.shape == (5, 17) and rows.dtype == np.int64
-        for c in range(5):
-            assert np.array_equal(rows[c], _rng.generator(*parts, c).permutation(17))
-    assert keyed_rows(4, 0, 1).shape == (0, 4)
 
 
 def test_montecarlo_null_sorted_and_thread_invariant():
@@ -306,6 +312,11 @@ def test_run_test_rejects_bad_alpha_and_table():
     assert run_test(rm, S_TAU, method=MonteCarlo(10, 0), null_table=right) == run_test(
         rm, S_TAU, method=MonteCarlo(10, 0)
     )
+    # a table under the asymptotic method is an error, not ignored
+    with pytest.raises(ConfigError, match="null tables need method MonteCarlo, got Asymptotic"):
+        run_test(rm, S_TAU, null_table=right)
+    with pytest.raises(ConfigError, match="null tables need method MonteCarlo, got Asymptotic"):
+        run_tests(rm, [S_TAU], method=ASYMPTOTIC, null_tables=[right])
 
 
 def test_result_dict_shape():

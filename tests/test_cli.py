@@ -354,7 +354,7 @@ def test_s_pearson_on_a_degenerate_column_exits_2(tmp_path, capsys, first, ties)
     assert captured.err == "error: s_pearson is undefined: column 0 has zero or non-finite variance\n"
 
 
-@pytest.mark.parametrize("target", ["missing/x.out", "."])
+@pytest.mark.parametrize("target", ["missing/x.out", ".", ""])
 def test_unwritable_out_exits_3(tmp_path, capsys, monkeypatch, target):
     # the path is checked before any input is read or any run starts
     def unreached(*args, **kwargs):
@@ -363,7 +363,7 @@ def test_unwritable_out_exits_3(tmp_path, capsys, monkeypatch, target):
     for name in ("read_csv_matrix", "run_tests", "run_experiment"):
         monkeypatch.setattr(f"rankdep.cli.{name}", unreached)
     p = write_demo_csv(tmp_path / "d.csv", n=16)
-    out = tmp_path / target
+    out = tmp_path / target if target else ""
     simulate = ["simulate", "--family", "iid-null", "-n", "12", "-m", "3", "--reps", "2"]
     for argv in (["test", str(p)], simulate):
         assert main(argv + ["--out", str(out)]) == 3
