@@ -19,7 +19,7 @@ so a table does not depend on the batches or on the thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -174,6 +174,8 @@ def montecarlo_null(
 
 @dataclass(frozen=True)
 class TestResult:
+    """One statistic's test; its fields, in order, are the report's keys."""
+
     statistic: StatisticId
     raw: float
     rescaled: float
@@ -182,24 +184,13 @@ class TestResult:
     n: int
     m: int
     method: str  # "asymptotic" or "montecarlo"
+    seed: int | None  # Monte Carlo only
     alpha: float
-    seed: int | None = None
-    reps: int | None = None
+    reps: int | None  # Monte Carlo only
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic.name,
-            "raw": self.raw,
-            "rescaled": self.rescaled,
-            "p_value": self.p_value,
-            "reject": self.reject,
-            "n": self.n,
-            "m": self.m,
-            "method": self.method,
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "reps": self.reps,
-        }
+        """The fields in order, with the statistic's name in place of its StatisticId."""
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {"statistic": self.statistic.name}
 
 
 def run_tests(
@@ -258,8 +249,8 @@ def run_tests(
                 n=n,
                 m=m,
                 method="montecarlo" if montecarlo else "asymptotic",
-                alpha=alpha,
                 seed=method.seed if montecarlo else None,
+                alpha=alpha,
                 reps=table.reps if montecarlo else None,
             )
         )

@@ -192,35 +192,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="rankdep", description="Rank-based tests of mutual independence")
     sub = p.add_subparsers(dest="command", required=True)
 
-    t = sub.add_parser("test", help="run independence tests on a CSV data matrix")
+    # the run options test and simulate share, listed first in each one's --help
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--stats", default="s_tau", help="comma-separated statistic names")
+    run.add_argument("--alpha", type=float, default=0.05)
+    run.add_argument("--method", choices=["asymptotic", "montecarlo"], default="asymptotic")
+    run.add_argument("--seed", type=int, default=None, help="default: $RANKDEP_SEED or 0")
+    run.add_argument("--threads", type=int, default=1)
+    run.add_argument("--out", default=None, help="output file (default stdout)")
+
+    t = sub.add_parser("test", parents=[run], help="run independence tests on a CSV data matrix")
     t.add_argument("data", help="CSV file, rows are samples, columns are variables")
-    t.add_argument("--stats", default="s_tau", help="comma-separated statistic names")
-    t.add_argument("--alpha", type=float, default=0.05)
-    t.add_argument("--method", choices=["asymptotic", "montecarlo"], default="asymptotic")
     t.add_argument("--reps", type=int, default=999, help="Monte Carlo replicates")
-    t.add_argument("--seed", type=int, default=None, help="default: $RANKDEP_SEED or 0")
     t.add_argument("--ties", choices=["reject", "jitter"], default="reject")
-    t.add_argument("--threads", type=int, default=1)
     t.add_argument("--format", choices=["json", "csv"], default="json")
-    t.add_argument("--out", default=None, help="output file (default stdout)")
     t.set_defaults(func=cmd_test)
 
-    s = sub.add_parser("simulate", help="estimate size/power over simulated datasets")
+    s = sub.add_parser("simulate", parents=[run], help="estimate size/power over simulated datasets")
     s.add_argument("--family", choices=FAMILIES, required=True)
     s.add_argument("-n", "--n", type=int, required=True)
     s.add_argument("-m", "--m", type=int, required=True)
     s.add_argument("--scatter", choices=SCATTER_KINDS, default="identity")
     s.add_argument("--signal", type=float, default=0.0)
     s.add_argument("--reps", type=int, required=True, help="scenario replicates")
-    s.add_argument("--stats", default="s_tau", help="comma-separated statistic names")
-    s.add_argument("--alpha", type=float, default=0.05)
-    s.add_argument("--method", choices=["asymptotic", "montecarlo"], default="asymptotic")
     s.add_argument("--mc-reps", type=int, default=999)
-    s.add_argument("--seed", type=int, default=None)
     s.add_argument("--df", type=int, default=5, help="degrees of freedom for mvt")
     s.add_argument("--contam-fraction", type=float, default=0.05)
-    s.add_argument("--threads", type=int, default=1)
-    s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_simulate)
 
     st = sub.add_parser("selftest", help="verify constants and internal oracles")

@@ -42,7 +42,9 @@ Largest exact n of each path, derived in code (ExactnessCeiling above it):
   (12 sum R S in float64); all-pairs tau W 13,777 (C(n,2)^2 in float64);
   t* U 3,963,368 (int64 row sums below 4 n^3 / 27); Hoeffding's D U 55,108
   (int64 terms below n^4); _w_engine's W: rho_hat 8,193, t* 702, D 224, and
-  tau 2,097,152 in the scalar w_stat only (int64 level sums).
+  tau 2,097,152 in the scalar w_stat only (int64 level sums).  The scalar
+  Spearman's rho and rho_hat have none: sum R S is summed in int64 chunks and
+  Python ints (_rank_dot); the Kendall merge keys stay below n^2/2 + n.
 Time limits t*, D and the W engine well below these (per pair: t* U 0.03 s,
 D U 0.002 s at n = 2,048; W of t* 0.4 s at n = 96, of D 0.2 s at n = 24).
 
@@ -133,16 +135,22 @@ def kendall_tau_fast(rx, ry) -> float:
     return (n * (n - 1) - 4 * inv) / (n * (n - 1))
 
 
+def _rank_dot(vx: np.ndarray, vy: np.ndarray, n: int) -> int:
+    """sum(R_i S_i) of two rank vectors, exact at every n: each term is at most n^2,
+    summed in int64 over chunks of (2^63 - 1) // n^2 terms (all n terms to n =
+    2,097,151) and then in Python ints."""
+    step = (2**63 - 1) // (n * n)
+    return sum(int(np.dot(vx[lo : lo + step], vy[lo : lo + step])) for lo in range(0, n, step))
+
+
 def spearman_rho(rx, ry) -> float:
     """Classical Spearman rank correlation.
 
-    The integer ratio (n(n^2-1) - 6 d^2) / (n(n^2-1)) is rounded once, so the
-    value is bitwise equal to all_pairs_spearman's.
+    The integer ratio (12 sum(R_i S_i) - 3n(n+1)^2) / (n(n^2-1)) is rounded
+    once, so the value is bitwise equal to all_pairs_spearman's.
     """
     vx, vy, n = _check_pair(rx, ry, 2, "spearman_rho")
-    d2 = int(np.dot(vx - vy, vx - vy))
-    den = n * (n * n - 1)
-    return (den - 6 * d2) / den
+    return (12 * _rank_dot(vx, vy, n) - 3 * n * (n + 1) ** 2) / (n * (n * n - 1))
 
 
 def rho_hat(rx, ry) -> float:
@@ -152,7 +160,7 @@ def rho_hat(rx, ry) -> float:
     rho_num = 12 sum(R_i S_i) - 3n(n+1)^2 and tau_num = n(n-1) tau.
     """
     vx, vy, n = _check_pair(rx, ry, DEGREE[KernelId.RHO_HAT], "rho_hat")
-    rnum = 12 * int(np.dot(vx, vy)) - 3 * n * (n + 1) ** 2
+    rnum = 12 * _rank_dot(vx, vy, n) - 3 * n * (n + 1) ** 2
     tnum = n * (n - 1) - 4 * _tau_inv(vx, vy, n)
     return (rnum - 3 * tnum) / (n * (n - 1) * (n - 2))
 

@@ -63,6 +63,15 @@ def test_extremal_values_exact():
     assert kendall_tau_fast(ident5, ident5[::-1]) == -1.0
 
 
+def test_scalar_rank_sums_exact_past_int64():
+    # sum(R_i S_i) of identical columns passes 2^63 from n = 3,024,617 on, and
+    # takes four int64 chunks at this n
+    n = 3_100_000
+    up = np.arange(1, n + 1, dtype=np.int64)
+    assert (spearman_rho(up, up), spearman_rho(up, up[::-1])) == (1.0, -1.0)
+    assert (rho_hat(up, up), rho_hat(up, up[::-1])) == (1.0, -1.0)
+
+
 def test_fast_paths_match_subset_enumeration():
     rng = generator(99, 0, 0)
     for kid in KernelId:
