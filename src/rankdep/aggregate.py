@@ -144,8 +144,8 @@ def _correlations(statistic: StatisticId, stack: np.ndarray, data) -> np.ndarray
     with np.errstate(all="ignore"):
         r = np.array([np.corrcoef(x, rowvar=False) for x in data])
     bad = ~np.isfinite(r)
-    if bad.any():  # a degenerate column's whole row is NaN, so it has the most
-        column = int(np.argmax(bad.sum(axis=2).max(axis=0)))
+    if bad.any():  # in the first such matrix, a degenerate column's whole row is NaN
+        column = int(np.argmax(bad[np.argmax(bad.any(axis=(1, 2)))].sum(axis=1)))
         raise DegenerateColumn(f"{statistic.name} is undefined: column {column} has zero or non-finite variance")
     return r[:, upper[0], upper[1]]
 

@@ -29,7 +29,6 @@ from .aggregate import (
     StatKind,
     check_sample_size,
     limit_family,
-    raw_statistics,
     rescale,
     stacked_raw_statistics,
 )
@@ -193,35 +192,33 @@ class TestResult:
         return {f.name: getattr(self, f.name) for f in fields(self)} | {"statistic": self.statistic.name}
 
 
-def run_tests(
-    ranks: RankMatrix,
+def stacked_tests(
+    stack: np.ndarray,
     statistics,
     alpha: float = 0.05,
     method: Method = ASYMPTOTIC,
     threads: int = 1,
     null_tables=None,
     data=None,
-) -> list[TestResult]:
-    """Full pipeline for several statistics on one rank matrix and the data it came from.
-
-    The raw values come from one raw_statistics call and, for Monte Carlo,
-    the null tables from one montecarlo_nulls pass (unless `null_tables`
-    gives one table per statistic, drawn with the method's reps and seed;
-    tables need a MonteCarlo method).  Result i equals run_test for
-    statistics[i].
-    """
+) -> list[list[TestResult]]:
+    """Full pipeline for several statistics on each matrix of a (depth, n, m) rank stack
+    and the data stack it came from (read by s_pearson only): one list per matrix, each
+    equal to run_tests on that matrix alone.  The checks run once per stack, the raw
+    values come from one stacked_raw_statistics call and, for Monte Carlo, the tables
+    from one montecarlo_nulls pass (unless `null_tables` gives one table per statistic,
+    drawn with the method's reps and seed; tables need a MonteCarlo method)."""
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     stats = list(statistics)
-    n, m = ranks.n, ranks.m
+    depth, n, m = stack.shape
     montecarlo = isinstance(method, MonteCarlo)
     if null_tables is not None and not montecarlo:
         raise ConfigError(f"null tables need method MonteCarlo, got {method!r}")
     for statistic in stats:
         if not montecarlo and limit_family(statistic) == "gumbel" and m < 3:
             raise SampleTooSmall(f"{statistic.name}'s Gumbel limit needs m >= 3, got {m}")
-    raws = raw_statistics(ranks, stats, threads=threads, data=data)
-    scaled = [rescale(statistic, raw, n, m) for statistic, raw in zip(stats, raws)]
+    raws = stacked_raw_statistics(stack, stats, threads, data)
+    scaled = [[rescale(statistic, raw, n, m) for raw in row] for statistic, row in zip(stats, raws)]
     tables = [None] * len(stats)
     if montecarlo:
         if null_tables is None:
@@ -231,30 +228,36 @@ def run_tests(
             keys = [(t.statistic, t.n, t.m, t.reps, t.seed) for t in tables]
             if keys != [(statistic, n, m, method.reps, method.seed) for statistic in stats]:
                 raise ConfigError("provided null table does not match this test")
-    results = []
-    for statistic, raw, sc, table in zip(stats, raws, scaled, tables):
-        if table is not None:
-            p = (1 + int(np.count_nonzero(table.values >= raw))) / (table.reps + 1)
-        elif sc.limit == "gumbel":
-            p = gumbel_max_pvalue(raw, n, m)
-        else:
-            p = normal_pvalue(sc.rescaled)
-        results.append(
-            TestResult(
-                statistic=statistic,
-                raw=raw,
-                rescaled=sc.rescaled,
-                p_value=p,
-                reject=p <= alpha,
-                n=n,
-                m=m,
-                method="montecarlo" if montecarlo else "asymptotic",
-                seed=method.seed if montecarlo else None,
-                alpha=alpha,
-                reps=table.reps if montecarlo else None,
-            )
-        )
+    shared = dict(n=n, m=m, method="asymptotic", seed=None, alpha=alpha, reps=None)
+    if montecarlo:
+        shared.update(method="montecarlo", seed=method.seed, reps=method.reps)
+    results = [[] for _ in range(depth)]
+    for column, table in zip(scaled, tables):
+        for row, sc in zip(results, column):
+            if table is not None:
+                p = (1 + int(np.count_nonzero(table.values >= sc.raw))) / (table.reps + 1)
+            elif sc.limit == "gumbel":
+                p = gumbel_max_pvalue(sc.raw, n, m)
+            else:
+                p = normal_pvalue(sc.rescaled)
+            own = dict(statistic=sc.statistic, raw=sc.raw, rescaled=sc.rescaled, p_value=p, reject=p <= alpha)
+            row.append(TestResult(**own, **shared))
     return results
+
+
+def run_tests(
+    ranks: RankMatrix,
+    statistics,
+    alpha: float = 0.05,
+    method: Method = ASYMPTOTIC,
+    threads: int = 1,
+    null_tables=None,
+    data=None,
+) -> list[TestResult]:
+    """Full pipeline for several statistics on one rank matrix and the data it came
+    from: stacked_tests on a stack of one.  Result i equals run_test for statistics[i]."""
+    stack = None if data is None else np.asarray(data)[None]
+    return stacked_tests(ranks.ranks[None], statistics, alpha, method, threads, null_tables, stack)[0]
 
 
 def run_test(

@@ -207,6 +207,22 @@ def _hoeffd_plan(n: int) -> tuple[int, int]:  # per row: 2 bool rows of n
     return _plan(n, 2 * n, (48 + 3 * s) * n)  # per pair: 6 int64, 3 count n-vectors
 
 
+@lru_cache(maxsize=1)  # keyed on the budget too: it sizes the chunks
+def _tstar_setup(n: int, budget: int) -> tuple:
+    """_tstar's per-n values, built once rather than per block: its count type, row
+    chunks, the mask j > i of a chunk's first rows, and 1..n-1 as a column."""
+    w, chunks = _count_type(n), _tstar_chunks(n)
+    rows = max(hi - lo for lo, hi in chunks)
+    return w, chunks, ~np.tri(rows, rows, dtype=bool), np.arange(1, n, dtype=w)[:, None]
+
+
+@lru_cache(maxsize=1)  # keyed on the budget too: it sizes the chunks
+def _hoeffd_setup(n: int, budget: int) -> tuple:
+    """_hoeffd's count type, rows per chunk, the mask s < t within a chunk, and 1..n."""
+    rows = _hoeffd_plan(n)[1]
+    return _count_type(n), rows, np.tri(rows, rows, -1, dtype=bool), np.arange(1, n + 1)[None]
+
+
 # t* sums row i's n-1-i terms a(a-1) + b(b-1) <= i^2 (a + b <= i) in int64
 _TSTAR_CEILING = _largest_n(lambda n: 4 * n**3 < 27 * 2**63, 4)
 # every term of D1, D2 and D3 is an int64 product below n^4
@@ -233,18 +249,15 @@ def _hoeffding_num(X: np.ndarray, Y: np.ndarray, C: np.ndarray) -> list[int]:
 def _hoeffd(X: np.ndarray, Y: np.ndarray) -> list[float]:
     """Hoeffding's D of each row pair of the (P, n) rank arrays X, Y (see hoeffding_d)."""
     P, n = X.shape
-    w = _count_type(n)
-    rows = _hoeffd_plan(n)[1]
+    w, rows, before, x = _hoeffd_setup(n, BYTE_BUDGET)
     S = np.empty((P, n), dtype=w)  # y-ranks in x-order
     S[np.arange(P)[:, None], X - 1] = Y
     c = np.empty((P, n), dtype=w)
-    before = np.tri(rows, rows, -1, dtype=bool)  # s < t, where both lie in a chunk
     for lo in range(0, n, rows):  # c of points t in [lo, hi): the s < t below them in y
         hi = min(n, lo + rows)
         less = S[:, None, :hi] < S[:, lo:hi, None]
         less[:, :, lo:] &= before[: hi - lo, : hi - lo]
         less.sum(axis=2, dtype=w, out=c[:, lo:hi])
-    x = np.arange(1, n + 1)[None]
     return [num / math.perm(n, 5) for num in _hoeffding_num(x, S, c)]  # n(n-1)..(n-4)
 
 
@@ -269,13 +282,10 @@ def _tstar(X: np.ndarray, Y: np.ndarray) -> list[float]:
     than points i < j, a = min(H[i, j], H[i, i]) lie above both in y and
     b = i - max(H[i, j], H[i, i]) below both: Q1 + Q2 = sum C(a,2) + C(b,2)."""
     P, n = X.shape
-    w = _count_type(n)
-    chunks = _tstar_chunks(n)
+    w, chunks, after, i_col = _tstar_setup(n, BYTE_BUDGET)
     V = np.empty((P, n), dtype=w)
     V[np.arange(P)[:, None], n - X] = n - Y
     q = [0] * P
-    rows = max(hi - lo for lo, hi in chunks)
-    after = ~np.tri(rows, rows, dtype=bool)  # j > i, where both lie in a chunk's first rows
     for lo, hi in chunks:  # rows i = s + 1 of points s in [lo, hi), columns j > lo
         h = np.cumsum(V[:, lo:hi, None] < V[:, None, lo + 1 :], axis=1, dtype=w)
         if lo:
@@ -286,7 +296,7 @@ def _tstar(X: np.ndarray, Y: np.ndarray) -> list[float]:
         a = np.minimum(h, d)
         a *= a - 1
         np.maximum(h, d, out=h)
-        np.subtract(np.arange(lo + 1, hi + 1, dtype=w)[:, None], h, out=h)  # b
+        np.subtract(i_col[lo:hi], h, out=h)  # b
         h *= h - 1
         h += a
         h[:, :, : hi - lo] *= after[: hi - lo, : hi - lo]  # the pairs i < j only

@@ -17,8 +17,9 @@ Determinism: replicate r of a scenario draws from streams keyed by
 (seed, r, purpose); purpose 0 is the base draw, 1 the contamination, 2 the
 tie-breaking jitter.  Changing thread count changes nothing.
 
-Each replicate's data goes to run_tests with its ranks, so the data-reading
-s_pearson runs beside the rank statistics, asymptotically only.
+Replicates run in batches of pairwise.stack_depth consecutive ones; one
+stacked_tests call tests a batch's (depth, n, m) ranks and data, so the
+data-reading s_pearson runs beside the rank statistics, asymptotically only.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ import numpy as np
 
 from . import _rng
 from .aggregate import StatisticId, check_sample_size, statistic_from_name
-from .calibrate import ASYMPTOTIC, Method, MonteCarlo, montecarlo_nulls, run_tests
+from .calibrate import ASYMPTOTIC, Method, MonteCarlo, montecarlo_nulls, stacked_tests
 from .errors import ConfigError, InfeasibleSignal, NotPositiveDefinite
+from .pairwise import stack_depth
 from .ranks import JitterWithSeed, compute_ranks
 
 SCATTER_KINDS = ("identity", "equicorrelation", "pentadiagonal")
@@ -183,7 +185,7 @@ def run_experiment(
     method: Method = ASYMPTOTIC,
     threads: int = 1,
 ) -> list[ExperimentRow]:
-    """Rejection rate of each statistic over `reps` scenario replicates, run in order."""
+    """Rejection rate of each statistic over `reps` scenario replicates, run in batches."""
     if reps < 1:
         raise ConfigError(f"reps must be positive, got {reps}")
     if not 0.0 < alpha < 1.0:
@@ -199,15 +201,19 @@ def run_experiment(
     montecarlo = isinstance(method, MonteCarlo)
     tables = montecarlo_nulls(sids, n, m, method.reps, method.seed, threads) if montecarlo else None
 
-    pvals = np.empty((len(sids), reps), dtype=np.float64)
-    for r in range(reps):
-        data = gen_dataset(scenario, r)
-        ranks = compute_ranks(data, JitterWithSeed(_rng.mix_key(scenario.seed, r, 2)))
-        pvals[:, r] = [res.p_value for res in run_tests(ranks, sids, alpha, method, threads, tables, data)]
+    depth = stack_depth(n, m)
+    rejects = np.zeros(len(sids), dtype=np.int64)
+    for lo in range(0, reps, depth):
+        batch = range(lo, min(reps, lo + depth))
+        data = np.array([gen_dataset(scenario, r) for r in batch])
+        keys = [_rng.mix_key(scenario.seed, r, 2) for r in batch]
+        ranks = np.array([compute_ranks(x, JitterWithSeed(key)).ranks for x, key in zip(data, keys)])
+        for results in stacked_tests(ranks, sids, alpha, method, threads, tables, data):
+            rejects += [res.reject for res in results]
 
     rows = []
     for i, sid in enumerate(sids):
-        rate = float(np.count_nonzero(pvals[i] <= alpha)) / reps
+        rate = float(rejects[i]) / reps
         se = math.sqrt(rate * (1.0 - rate) / reps)
         rows.append(
             ExperimentRow(

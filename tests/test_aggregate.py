@@ -5,6 +5,7 @@ import pytest
 
 from rankdep import (
     ConfigError,
+    DegenerateColumn,
     KernelId,
     NAMED_STATISTICS,
     RankMatrix,
@@ -21,6 +22,7 @@ from rankdep import (
     statistic_from_name,
 )
 from rankdep._rng import generator
+from rankdep.aggregate import stacked_raw_statistics
 
 
 def identical_columns(n, m):
@@ -142,6 +144,23 @@ def test_raw_statistic_matches_manual_path():
             want = math.fsum(v.tolist())
         assert raw_statistic(rm, sid) == want, sid.name
     assert len(stats) == 13 and stats[-1].name == "t_hoeffd"
+
+
+def test_stacked_pearson_names_the_first_degenerate_matrix_column():
+    # matrix 0 has column 3 constant and matrix 1 column 1: the stack names the
+    # column of its first degenerate matrix, as raw_statistics on that matrix does
+    data = np.random.default_rng(8).standard_normal((2, 10, 5))
+    data[0, :, 3] = 1.0
+    data[1, :, 1] = 1.0
+    stack = np.array([random_ranks(seed, 10, 5).ranks for seed in (1, 2)])
+    pearson = [statistic_from_name("s_pearson")]
+    for b, column in ((0, 3), (1, 1)):
+        with pytest.raises(DegenerateColumn, match=f"column {column} has zero"):
+            raw_statistics(RankMatrix(stack[b]), pearson, data=data[b])
+    with pytest.raises(DegenerateColumn, match="column 3 has zero"):
+        stacked_raw_statistics(stack, pearson, data=data)
+    with pytest.raises(DegenerateColumn, match="column 1 has zero"):
+        stacked_raw_statistics(stack[::-1], pearson, data=data[::-1])
 
 
 def test_raw_statistics_match_single_statistic_calls():

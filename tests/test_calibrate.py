@@ -16,6 +16,7 @@ from rankdep import (
     NullTable,
     RankMatrix,
     SampleTooSmall,
+    compute_ranks,
     gumbel_max_pvalue,
     montecarlo_null,
     montecarlo_nulls,
@@ -27,6 +28,7 @@ from rankdep import (
     statistic_from_name,
 )
 from rankdep.aggregate import stacked_raw_statistics
+from rankdep.calibrate import stacked_tests
 from rankdep.pairwise import stack_depth
 
 S_TAU = statistic_from_name("s_tau")
@@ -228,6 +230,44 @@ def test_run_tests_match_run_test():
         assert joint == [run_test(rm, sid, method=method) for sid in stats]
 
 
+def test_stacked_tests_equal_run_tests_one_by_one():
+    # every named statistic, each matrix of the stack against run_tests on it
+    # alone, bitwise (repr shows every float exactly)
+    n, m, depth = 10, 5, 6
+    data = np.random.default_rng(9).standard_normal((depth, n, m))
+    data[:, :, 1] += data[:, :, 0]
+    ranks = [compute_ranks(x) for x in data]
+    stack = np.array([rm.ranks for rm in ranks])
+    stats = list(NAMED_STATISTICS.values())
+    mc = MonteCarlo(reps=19, seed=4)
+    rank_stats = [sid for sid in stats if sid.name != "s_pearson"]
+    tables = montecarlo_nulls(rank_stats, n, m, mc.reps, mc.seed)
+    pair = [S_TAU, statistic_from_name("s_max_tau")]
+    cases = [(ASYMPTOTIC, stats, None), (mc, rank_stats, tables), (mc, pair, None)]
+    for threads in (1, 2):
+        for method, chosen, given in cases:
+            got = stacked_tests(stack, chosen, 0.3, method, threads, given, data)
+            want = [run_tests(rm, chosen, 0.3, method, threads, given, x) for rm, x in zip(ranks, data)]
+            assert len(got) == depth and repr(got) == repr(want), (threads, method)
+
+
+def test_stacked_tests_check_once_before_the_pair_stage(monkeypatch):
+    stack = np.array([_dependent_ranks(8, 2).ranks] * 3)
+    s_max = statistic_from_name("s_max_tau")
+    mc = MonteCarlo(reps=9, seed=1)
+    table = montecarlo_null(S_TAU, n=8, m=2, reps=9, seed=2)
+    monkeypatch.setattr(calibrate, "stacked_raw_statistics", lambda *a: pytest.fail("the pair stage ran"))
+    with pytest.raises(ConfigError, match="alpha must lie in"):
+        stacked_tests(stack, [S_TAU], alpha=1.0)
+    with pytest.raises(ConfigError, match="null tables need method MonteCarlo"):
+        stacked_tests(stack, [S_TAU], null_tables=[table])
+    with pytest.raises(SampleTooSmall, match="s_max_tau's Gumbel limit needs m >= 3, got 2"):
+        stacked_tests(stack, [S_TAU, s_max])
+    monkeypatch.undo()
+    with pytest.raises(ConfigError, match="provided null table does not match this test"):
+        stacked_tests(stack, [S_TAU], method=mc, null_tables=[table])
+
+
 def test_montecarlo_null_validation():
     with pytest.raises(ConfigError):
         montecarlo_null(S_TAU, n=16, m=4, reps=0, seed=0)
@@ -287,7 +327,7 @@ def test_gumbel_limit_needs_three_columns(monkeypatch):
     rm = _dependent_ranks(5, 2)
     s_max = statistic_from_name("s_max_tau")
     with monkeypatch.context() as mp:
-        mp.setattr(calibrate, "raw_statistics", None)
+        mp.setattr(calibrate, "stacked_raw_statistics", None)
         with pytest.raises(SampleTooSmall, match="s_max_tau's Gumbel limit needs m >= 3, got 2"):
             run_tests(rm, [S_TAU, s_max])
     res = run_test(rm, s_max, method=MonteCarlo(19, 3))

@@ -573,6 +573,34 @@ def test_block_budget_does_not_change_bits(monkeypatch):
     assert {(1, 1), (1, 6), (1, 27), (3, 37)} <= plans  # (pairs per block, rows per chunk)
 
 
+def test_tstar_runs_the_chunks_of_the_current_budget(monkeypatch):
+    # the block cores keep their per-n values between calls; a t* call after a
+    # BYTE_BUDGET change must run the chunks of the new budget.  Each chunk makes
+    # one cumsum, which a stand-in for the module's numpy counts.
+    runs = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def cumsum(self, *args, **kwargs):
+            runs.append(1)
+            return np.cumsum(*args, **kwargs)
+
+    rm = _random_ranks(57, 37, 2)
+    want = tstar(rm.column(0), rm.column(1))
+    monkeypatch.setattr(pairwise, "np", CountingNumpy())
+    counts = []
+    for budget in (4, 65536, 4, 65536):
+        monkeypatch.setattr(pairwise, "BYTE_BUDGET", budget)
+        for _ in range(2):
+            runs.clear()
+            assert tstar(rm.column(0), rm.column(1)) == want, budget
+            counts.append(len(runs))
+            assert len(runs) == len(pairwise._tstar_chunks(37)), budget
+    assert counts[0] > counts[2] and counts == counts[:4] * 2, counts
+
+
 def test_tstar_chunks_sized_by_their_columns():
     # the chunk at lo has n - 1 - lo columns; its rows fill what the plan gave
     # rows of n, so every chunk's counted bytes fit a quarter of the budget.

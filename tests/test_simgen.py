@@ -23,6 +23,8 @@ from rankdep import (
     statistic_from_name,
     write_experiment_csv,
 )
+from rankdep import simgen
+from rankdep.pairwise import stack_depth
 from rankdep.ranks import JitterWithSeed
 from rankdep.simgen import _cached_cholesky
 
@@ -181,6 +183,26 @@ def test_run_experiment_per_pair_kernels_thread_invariant():
         rows1 = run_experiment(sc, ["s_tstar", "z_d"], reps=6, method=method, threads=1)
         rows3 = run_experiment(sc, ["s_tstar", "z_d"], reps=6, method=method, threads=3)
         assert rows1 == rows3
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_experiment_batches_do_not_change_rows(threads, monkeypatch):
+    # replicates one at a time, in batches of 4 (remainders 3 and 1), and in the
+    # derived depth (one batch); tau U and W, rho_hat U and W, t* U, D U,
+    # Spearman, Pearson and max-tau, asymptotic and by Monte Carlo
+    sc = SimScenario("mvn", 12, 4, scatter="equicorrelation", signal=0.5, seed=7)
+    assert stack_depth(12, 4) > 11
+    ranked = ["s_tau", "t_tau", "s_rho_hat", "s_tstar", "z_d", "t_rho_hat", "s_rho_s", "s_max_tau"]
+    for method, stats in ((ASYMPTOTIC, ranked + ["s_pearson"]), (MonteCarlo(reps=19, seed=2), ranked)):
+        for reps in (11, 9):
+            rows = {}
+            for depth in (1, 4, None):
+                with monkeypatch.context() as mp:
+                    if depth:
+                        mp.setattr(simgen, "stack_depth", lambda n, m, d=depth: d)
+                    rows[depth] = run_experiment(sc, stats, reps, alpha=0.3, method=method, threads=threads)
+            assert rows[4] == rows[1] and rows[None] == rows[1], (method, reps)
+            assert 0.0 < sum(r.reject_rate for r in rows[1]) < len(stats), (method, reps)
 
 
 def test_run_experiment_rejects_threads_below_one():
