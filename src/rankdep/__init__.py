@@ -11,12 +11,11 @@ from .aggregate import (
     NAMED_STATISTICS,
     limit_family,
     min_sample_size,
-    RescaledStatistic,
     StatisticId,
     StatKind,
     raw_statistic,
     raw_statistics,
-    rescale,
+    rescale_factor,
     statistic_from_name,
 )
 from .calibrate import (

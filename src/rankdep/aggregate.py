@@ -11,10 +11,15 @@ plus three specials: S_RHO_S, the centered sum of squared classical Spearman
 correlations, S_PEARSON, the same on the data's Pearson correlations (Schott
 2005's baseline), and S_MAX_TAU, the maximum absolute Kendall tau.
 
-rescale() multiplies a raw statistic by the factor that makes it converge
-to a standard normal (or, for S_MAX_TAU, leaves it on the Gumbel scale).
-The factors depend on the kernel degeneracy order d and the constants
-zeta_d and eta, all derived from the stamped covariance ladder.
+Each StatKind member is one row of facts, and every per-kind rule reads it:
+whether the kind takes a kernel, the pair value it reads (U or W of its
+kernel, or of tau if it takes none; None for a correlation matrix), its
+minimum n in degrees of that kernel, its reducer, its limit, and whether it
+has a permutation null.  rescale_factor(statistic, n, m) is the factor that
+makes a raw statistic converge to a standard normal (1 for S_MAX_TAU, which
+stays on the Gumbel scale).  The factors depend on the kernel degeneracy
+order d and the constants zeta_d and eta, all derived from the stamped
+covariance ladder.
 """
 
 from __future__ import annotations
@@ -32,13 +37,25 @@ from .pairwise import stacked_pair_values, stacked_spearman
 from .ranks import RankMatrix
 
 
+@enum.unique
 class StatKind(enum.Enum):
-    S = "S"
-    T = "T"
-    Z = "Z"
-    S_RHO_S = "S_RHO_S"
-    S_PEARSON = "S_PEARSON"
-    S_MAX_TAU = "S_MAX_TAU"
+    """One row of facts per kind: whether it takes a kernel, the pair value it reads,
+    its minimum n, its reducer, its limit, and whether it has a permutation null."""
+
+    S = (True, "U", 2, "squares", "normal", True)
+    T = (True, "W", 2, "sum", "normal", True)
+    Z = (True, "U", 1, "sum", "normal", True)
+    S_RHO_S = (False, None, 1, "squares", "normal", True)
+    S_PEARSON = (False, None, 1, "squares", "normal", False)  # reads the data, not ranks
+    S_MAX_TAU = (False, "U", 1, "max", "gumbel", True)
+
+    def __init__(self, takes_kernel, reads, degrees, reducer, limit, permutation_null):
+        self.takes_kernel = takes_kernel
+        self.reads = reads  # U or W of the kernel (tau without one); None: correlations
+        self.degrees = degrees  # minimum n, in degrees of that kernel
+        self.reducer = reducer  # squares less their null mean, sum, or max |.|
+        self.limit = limit
+        self.permutation_null = permutation_null
 
 
 @dataclass(frozen=True)
@@ -47,11 +64,9 @@ class StatisticId:
     kernel: KernelId | None = None
 
     def __post_init__(self):
-        needs_kernel = self.kind in (StatKind.S, StatKind.T, StatKind.Z)
-        if needs_kernel and self.kernel is None:
-            raise ConfigError(f"{self.kind.value} statistic needs a kernel")
-        if not needs_kernel and self.kernel is not None:
-            raise ConfigError(f"{self.kind.value} statistic takes no kernel")
+        needs_kernel = self.kind.takes_kernel
+        if needs_kernel != (self.kernel is not None):
+            raise ConfigError(f"{self.kind.name} statistic {'needs a' if needs_kernel else 'takes no'} kernel")
 
     @property
     def name(self) -> str:
@@ -59,7 +74,7 @@ class StatisticId:
             if sid == self:
                 return name
         kern = self.kernel.key if self.kernel else ""
-        return f"{self.kind.value.lower()}_{kern}"
+        return f"{self.kind.name.lower()}_{kern}"
 
     def __str__(self) -> str:
         return self.name
@@ -92,11 +107,7 @@ def statistic_from_name(name: str) -> StatisticId:
 
 
 def min_sample_size(statistic: StatisticId) -> int:
-    if statistic.kind in (StatKind.S, StatKind.T):
-        return 2 * DEGREE[statistic.kernel]
-    if statistic.kind is StatKind.Z:
-        return DEGREE[statistic.kernel]
-    return 2
+    return statistic.kind.degrees * DEGREE[statistic.kernel or KernelId.TAU]
 
 
 def check_sample_size(statistics, n: int) -> None:
@@ -110,14 +121,14 @@ def check_sample_size(statistics, n: int) -> None:
 # ------------------------------------------------------------- raw statistics
 
 def _reduce(statistic: StatisticId, values: np.ndarray, n: int, m: int) -> list[float]:
-    """The raw statistic of each row of (depth, C(m,2)) pair values: S, S_RHO_S and
-    S_PEARSON the fsum of the squares less C(m,2) times the null mean of one square,
-    T and Z the fsum, S_MAX_TAU the largest absolute value."""
-    kind = statistic.kind
-    if kind is StatKind.S_MAX_TAU:
+    """The raw statistic of each row of (depth, C(m,2)) pair values, by the kind's
+    reducer: the fsum of the squares less C(m,2) times the null mean of one square
+    (the kernel's, or 1/(n-1) for a correlation), the fsum, or the largest |value|."""
+    reducer = statistic.kind.reducer
+    if reducer == "max":
         return np.abs(values).max(axis=1).tolist()
-    if kind in (StatKind.S, StatKind.S_RHO_S, StatKind.S_PEARSON):
-        mean = mu_h_exact(statistic.kernel, n) if kind is StatKind.S else Fraction(1, n - 1)
+    if reducer == "squares":
+        mean = Fraction(1, n - 1) if statistic.kernel is None else mu_h_exact(statistic.kernel, n)
         center = float(math.comb(m, 2) * mean)
         return [math.fsum(row.tolist()) - center for row in values * values]
     return [math.fsum(row.tolist()) for row in values]
@@ -125,18 +136,14 @@ def _reduce(statistic: StatisticId, values: np.ndarray, n: int, m: int) -> list[
 
 def pair_requirement(statistic: StatisticId) -> tuple[KernelId, str] | None:
     """Which pair-stage result a statistic consumes (None: Spearman's or Pearson's rho)."""
-    if statistic.kind in (StatKind.S_RHO_S, StatKind.S_PEARSON):
-        return None
-    if statistic.kind is StatKind.S_MAX_TAU:
-        return (KernelId.TAU, "U")
-    if statistic.kind is StatKind.T:
-        return (statistic.kernel, "W")
-    return (statistic.kernel, "U")
+    reads = statistic.kind.reads
+    return None if reads is None else (statistic.kernel or KernelId.TAU, reads)
 
 
 def _correlations(statistic: StatisticId, stack: np.ndarray, data) -> np.ndarray:
-    """(depth, C(m,2)) correlations: Spearman's of a rank stack, or Pearson's of its data."""
-    if statistic.kind is StatKind.S_RHO_S:
+    """(depth, C(m,2)) correlations: Spearman's of a rank stack, or, for the kind
+    without a permutation null, Pearson's of the data the ranks came from."""
+    if statistic.kind.permutation_null:
         return stacked_spearman(stack)
     if data is None or np.shape(data) != stack.shape:
         raise ConfigError("s_pearson needs the data matrix the ranks came from")
@@ -185,34 +192,27 @@ def raw_statistic(ranks: RankMatrix, statistic: StatisticId) -> float:
 
 # ----------------------------------------------------------------- rescaling
 
-@dataclass(frozen=True)
-class RescaledStatistic:
-    statistic: StatisticId
-    raw: float
-    rescaled: float
-    n: int
-    m: int
-    limit: str  # "normal" or "gumbel"
-
-
 def limit_family(statistic: StatisticId) -> str:
-    return "gumbel" if statistic.kind is StatKind.S_MAX_TAU else "normal"
+    return statistic.kind.limit
 
 
-def _rescale_factor(statistic: StatisticId, n: int, m: int) -> float:
+def rescale_factor(statistic: StatisticId, n: int, m: int) -> float:
+    """The factor that scales a raw statistic onto its limiting (normal or Gumbel) scale."""
     from . import constants
 
-    kind = statistic.kind
-    if kind in (StatKind.S_RHO_S, StatKind.S_PEARSON):
+    if n < 2 or m < 2:
+        raise ValueError("need n >= 2 and m >= 2")
+    if statistic.kind.limit == "gumbel":
+        return 1.0  # the Gumbel p-value reads the raw maximum
+    if statistic.kernel is None:
         return n / m
-    if kind is StatKind.S_MAX_TAU:
-        return 1.0
     kc = constants.get().kernel(statistic.kernel)
     k, d, zeta_d = kc.k, kc.d, kc.zeta_d
+    kind = statistic.kind
     if d == 1:
-        if kind in (StatKind.S, StatKind.T):
-            return float(Fraction(n, k * k * m) / zeta_d)
-        return math.sqrt(2 * n) / (k * m * math.sqrt(float(zeta_d)))
+        if kind is StatKind.Z:
+            return math.sqrt(2 * n) / (k * m * math.sqrt(float(zeta_d)))
+        return float(Fraction(n, k * k * m) / zeta_d)
     if d == 2:
         ck2 = math.comb(k, 2)
         if kind is StatKind.Z:
@@ -221,18 +221,3 @@ def _rescale_factor(statistic: StatisticId, n: int, m: int) -> float:
         radical = math.sqrt(float(zeta_d * zeta_d + mult * kc.eta))
         return n * n / (ck2 * ck2 * 2 * m * radical)
     raise UnknownConstant(f"no rescaling for degeneracy order {d}")
-
-
-def rescale(statistic: StatisticId, raw: float, n: int, m: int) -> RescaledStatistic:
-    """Scale a raw statistic onto its limiting (normal or Gumbel) scale."""
-    if n < 2 or m < 2:
-        raise ValueError("need n >= 2 and m >= 2")
-    factor = _rescale_factor(statistic, n, m)
-    return RescaledStatistic(
-        statistic=statistic,
-        raw=raw,
-        rescaled=raw * factor,
-        n=n,
-        m=m,
-        limit=limit_family(statistic),
-    )

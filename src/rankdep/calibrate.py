@@ -24,14 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import _rng
-from .aggregate import (
-    StatisticId,
-    StatKind,
-    check_sample_size,
-    limit_family,
-    rescale,
-    stacked_raw_statistics,
-)
+from .aggregate import StatisticId, check_sample_size, rescale_factor, stacked_raw_statistics
 from .errors import ConfigError, DomainError, SampleTooSmall
 from .pairwise import stack_depth
 from .ranks import RankMatrix
@@ -142,8 +135,9 @@ def montecarlo_nulls(
     if m < 2:
         raise ConfigError(f"need m >= 2 columns, got {m}")
     check_sample_size(stats, n)
-    if any(statistic.kind is StatKind.S_PEARSON for statistic in stats):
-        raise ConfigError("s_pearson supports only asymptotic calibration")
+    for statistic in stats:
+        if not statistic.kind.permutation_null:
+            raise ConfigError(f"{statistic.name} supports only asymptotic calibration")
     depth = min(reps, stack_depth(n, m))
     raws = [[] for _ in stats]
     for lo in range(0, reps, depth):
@@ -215,10 +209,10 @@ def stacked_tests(
     if null_tables is not None and not montecarlo:
         raise ConfigError(f"null tables need method MonteCarlo, got {method!r}")
     for statistic in stats:
-        if not montecarlo and limit_family(statistic) == "gumbel" and m < 3:
+        if not montecarlo and statistic.kind.limit == "gumbel" and m < 3:
             raise SampleTooSmall(f"{statistic.name}'s Gumbel limit needs m >= 3, got {m}")
     raws = stacked_raw_statistics(stack, stats, threads, data)
-    scaled = [[rescale(statistic, raw, n, m) for raw in row] for statistic, row in zip(stats, raws)]
+    factors = [rescale_factor(statistic, n, m) for statistic in stats]
     tables = [None] * len(stats)
     if montecarlo:
         if null_tables is None:
@@ -232,16 +226,15 @@ def stacked_tests(
     if montecarlo:
         shared.update(method="montecarlo", seed=method.seed, reps=method.reps)
     results = [[] for _ in range(depth)]
-    for column, table in zip(scaled, tables):
-        for row, sc in zip(results, column):
+    for statistic, column, factor, table in zip(stats, raws, factors, tables):
+        for row, raw in zip(results, column):
             if table is not None:
-                p = (1 + int(np.count_nonzero(table.values >= sc.raw))) / (table.reps + 1)
-            elif sc.limit == "gumbel":
-                p = gumbel_max_pvalue(sc.raw, n, m)
+                p = (1 + int(np.count_nonzero(table.values >= raw))) / (table.reps + 1)
+            elif statistic.kind.limit == "gumbel":
+                p = gumbel_max_pvalue(raw, n, m)
             else:
-                p = normal_pvalue(sc.rescaled)
-            own = dict(statistic=sc.statistic, raw=sc.raw, rescaled=sc.rescaled, p_value=p, reject=p <= alpha)
-            row.append(TestResult(**own, **shared))
+                p = normal_pvalue(raw * factor)
+            row.append(TestResult(statistic, raw, raw * factor, p, p <= alpha, **shared))
     return results
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,21 +36,24 @@ _ETA_RATIO = Fraction(36, 49)  # eta / zeta_d^2 for the degenerate kernels
 
 @dataclass(frozen=True)
 class KernelConstants:
+    """A kernel's zeta ladder; d, zeta_d and eta are derived once per instance, and
+    equality compares the ladder only."""
+
     zetas: dict[int, Fraction]  # c -> zeta_c for c = 1..k
 
     @property
     def k(self) -> int:
         return len(self.zetas)
 
-    @property
+    @cached_property
     def d(self) -> int:
         return min(c for c, z in self.zetas.items() if z != 0)
 
-    @property
+    @cached_property
     def zeta_d(self) -> Fraction:
         return self.zetas[self.d]
 
-    @property
+    @cached_property
     def eta(self) -> Fraction | None:
         return _ETA_RATIO * self.zeta_d**2 if self.d == 2 else None
 

@@ -173,7 +173,12 @@ BYTE_BUDGET = 1 << 20  # bytes of temporaries a pair engine holds at once
 def _plan(rows_cap: int, row_bytes: int, pair_bytes: int) -> tuple[int, int]:
     """(pairs per block, rows per chunk) of a block core whose pairs hold pair_bytes and
     row_bytes per row: a block fits a quarter of BYTE_BUDGET, its rows half of that (at
-    least one pair, one row); at the whole budget glibc unmapped and re-faulted blocks."""
+    least one pair, one row); at the whole budget glibc unmapped and re-faulted blocks.
+    numpy's ufunc buffers and the row-sum lists are not counted, so a block can exceed
+    its quarter by up to about 1.7x (one D pair at n = 8,192), but a whole all_pairs call
+    stays below the budget: tracemalloc peaks of 0.2-0.33 of it at (5, 48), (64, 32) and
+    (2048, 2), 0.45-0.56 at (8192, 2), and 0.97 for t* there when its per-n setup is
+    built in the same call."""
     budget = BYTE_BUDGET // 4
     rows = min(rows_cap, max(1, budget // (2 * row_bytes)))
     return max(1, budget // (pair_bytes + rows * row_bytes)), rows
@@ -617,15 +622,16 @@ def _usable_cpus() -> int:
 
 
 def _check_requests(reqs: set, n: int, m: int, threads: int) -> None:
-    """The pair stage's one check: ``threads`` and every request's minimum n and
-    _ceiling, in a fixed order (the same first error under any hash seed)."""
+    """The pair stage's one check: ``threads``, at least 2 columns (even with no
+    request, so a correlation-only stack fails here too), and every request's minimum
+    n and _ceiling, in a fixed order (the same first error under any hash seed)."""
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
+    if m < 2:
+        raise ValueError("need at least 2 columns")
     for kernel, kind in sorted(reqs, key=str):
         if kind not in ("U", "W"):
             raise ValueError(f"kind must be 'U' or 'W', got {kind!r}")
-        if m < 2:
-            raise ValueError("need at least 2 columns")
         min_n = DEGREE[kernel] if kind == "U" else 2 * DEGREE[kernel]
         if n < min_n:
             raise SampleTooSmall(f"{kind}({kernel.key}) needs n >= {min_n}, got {n}")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import _rng, constants
 from .calibrate import gumbel_max_pvalue, normal_pvalue
 from .errors import DomainError
-from .aggregate import rescale, statistic_from_name
+from .aggregate import rescale_factor, statistic_from_name
 from .kernels import DEGREE, KernelId, eval_kernel, mu_h_exact
 from .pairwise import (
     _FAST_U,
@@ -159,12 +159,12 @@ def run_selftest(constants_path: str | None = None) -> list[CheckResult]:
 
     # rescaling factors on worked examples
     rs = [
-        ("rescale_s_tau", rescale(statistic_from_name("s_tau"), 1.0, 100, 50).rescaled, 4.5),
-        ("rescale_s_rho_s", rescale(statistic_from_name("s_rho_s"), 1.0, 64, 128).rescaled, 0.5),
-        ("rescale_z_tstar", rescale(statistic_from_name("z_tstar"), 1.0, 128, 64).rescaled, 5.0),
+        ("rescale_s_tau", rescale_factor(statistic_from_name("s_tau"), 100, 50), 4.5),
+        ("rescale_s_rho_s", rescale_factor(statistic_from_name("s_rho_s"), 64, 128), 0.5),
+        ("rescale_z_tstar", rescale_factor(statistic_from_name("z_tstar"), 128, 64), 5.0),
         (
             "rescale_t_tstar",
-            rescale(statistic_from_name("t_tstar"), 1.0, 10, 4).rescaled,
+            rescale_factor(statistic_from_name("t_tstar"), 10, 4),
             float(100 / (36 * 2 * 4 * float(Fraction(11, 1575)))),
         ),
     ]

@@ -25,7 +25,7 @@ from rankdep import (
     kendall_tau_fast,
     montecarlo_null,
     raw_statistic,
-    rescale,
+    rescale_factor,
     rho_hat,
     run_experiment,
     run_test,
@@ -133,7 +133,7 @@ def test_criterion_04_null_size():
 
 def test_criterion_05_rescaled_null_is_standard_normal():
     tbl = montecarlo_null(S_TAU, n=128, m=128, reps=2000, seed=105)
-    factor = rescale(S_TAU, 1.0, 128, 128).rescaled
+    factor = rescale_factor(S_TAU, 128, 128)
     z = tbl.values * factor
     mean = float(z.mean())
     var = float(z.var(ddof=1))
@@ -173,7 +173,7 @@ def _ks_to_standard_normal(values):
 
 def test_criterion_08_spearman_sum_normal_limit():
     tbl = montecarlo_null(S_RHO_S, n=128, m=128, reps=2000, seed=108)
-    factor = rescale(S_RHO_S, 1.0, 128, 128).rescaled  # n/m = 1 here
+    factor = rescale_factor(S_RHO_S, 128, 128)  # n/m = 1 here
     ks = _ks_to_standard_normal(tbl.values * factor)
     ok = ks < 0.05
     _verdict(8, ok, f"KS distance of rescaled Spearman sum null to N(0,1): {ks:.4f} < 0.05")

@@ -15,14 +15,15 @@ from rankdep import (
     all_pairs,
     limit_family,
     min_sample_size,
+    montecarlo_nulls,
     mu_h_exact,
     raw_statistic,
     raw_statistics,
-    rescale,
+    rescale_factor,
     statistic_from_name,
 )
 from rankdep._rng import generator
-from rankdep.aggregate import stacked_raw_statistics
+from rankdep.aggregate import pair_requirement, stacked_raw_statistics
 
 
 def identical_columns(n, m):
@@ -68,6 +69,33 @@ def test_min_sample_size():
     }
     for name, need in cases.items():
         assert min_sample_size(statistic_from_name(name)) == need
+
+
+def test_statistic_table():
+    # each statistic's row of facts: the pair value it reads (None: a correlation
+    # matrix), its minimum n, its limit, and whether it has a permutation null
+    tau, rho, tstar, d = KernelId.TAU, KernelId.RHO_HAT, KernelId.T_STAR, KernelId.HOEFF_D
+    rows = {
+        "s_tau": ((tau, "U"), 4, "normal"), "t_tau": ((tau, "W"), 4, "normal"),
+        "z_tau": ((tau, "U"), 2, "normal"), "s_rho_hat": ((rho, "U"), 6, "normal"),
+        "t_rho_hat": ((rho, "W"), 6, "normal"), "z_rho_hat": ((rho, "U"), 3, "normal"),
+        "s_d": ((d, "U"), 10, "normal"), "z_d": ((d, "U"), 5, "normal"),
+        "s_tstar": ((tstar, "U"), 8, "normal"), "t_tstar": ((tstar, "W"), 8, "normal"),
+        "z_tstar": ((tstar, "U"), 4, "normal"), "s_rho_s": (None, 2, "normal"),
+        "s_pearson": (None, 2, "normal"), "s_max_tau": ((tau, "U"), 2, "gumbel"),
+    }
+    stats = {name: statistic_from_name(name) for name in rows}
+    stats["t_hoeffd"] = StatisticId(StatKind.T, d)
+    rows["t_hoeffd"] = ((d, "W"), 10, "normal")
+    assert set(rows) == set(NAMED_STATISTICS) | {"t_hoeffd"}
+    for name, (pair, need, limit) in rows.items():
+        sid = stats[name]
+        assert (pair_requirement(sid), min_sample_size(sid), limit_family(sid)) == (pair, need, limit), name
+        if name == "s_pearson":
+            with pytest.raises(ConfigError, match="only asymptotic"):
+                montecarlo_nulls([sid], n=10, m=3, reps=2, seed=0)
+        else:
+            assert montecarlo_nulls([sid], n=10, m=3, reps=2, seed=0)[0].values.shape == (2,), name
 
 
 def test_s_stat_identical_columns_exact():
@@ -177,26 +205,25 @@ def test_raw_statistics_match_single_statistic_calls():
 
 
 def test_rescale_factors_worked_values():
-    r = rescale(statistic_from_name("s_tau"), 2.0, n=100, m=50)
-    assert r.rescaled == pytest.approx(9.0, rel=1e-14)  # factor 4.5
-    assert r.limit == "normal"
+    s_tau = statistic_from_name("s_tau")
+    assert 2.0 * rescale_factor(s_tau, n=100, m=50) == pytest.approx(9.0, rel=1e-14)  # factor 4.5
+    assert limit_family(s_tau) == "normal"
 
-    r = rescale(statistic_from_name("s_rho_s"), 3.0, n=64, m=128)
-    assert r.rescaled == pytest.approx(1.5, rel=1e-14)  # factor 0.5
+    r = 3.0 * rescale_factor(statistic_from_name("s_rho_s"), n=64, m=128)
+    assert r == pytest.approx(1.5, rel=1e-14)  # factor 0.5
 
-    r = rescale(statistic_from_name("z_tstar"), 1.0, n=128, m=64)
-    assert r.rescaled == pytest.approx(5.0, rel=1e-12)
+    assert rescale_factor(statistic_from_name("z_tstar"), n=128, m=64) == pytest.approx(5.0, rel=1e-12)
 
-    r = rescale(statistic_from_name("s_max_tau"), 0.42, n=128, m=64)
-    assert r.rescaled == 0.42  # passed through for the extreme-value limit
-    assert r.limit == "gumbel"
+    s_max_tau = statistic_from_name("s_max_tau")
+    assert 0.42 * rescale_factor(s_max_tau, n=128, m=64) == 0.42  # passed through for the extreme-value limit
+    assert limit_family(s_max_tau) == "gumbel"
 
 
 def test_rescale_validates_dimensions():
     with pytest.raises(ValueError):
-        rescale(statistic_from_name("s_tau"), 1.0, n=1, m=4)
+        rescale_factor(statistic_from_name("s_tau"), n=1, m=4)
     with pytest.raises(ValueError):
-        rescale(statistic_from_name("s_tau"), 1.0, n=10, m=1)
+        rescale_factor(statistic_from_name("s_tau"), n=10, m=1)
 
 
 def test_limit_family():
@@ -209,6 +236,6 @@ def test_s_scaling_vs_t_scaling_ordering():
     # the squared-sum family carries the wider null spread, so for the same
     # raw value and geometry its rescaling factor never exceeds the T one
     for kern in ("tstar",):
-        s = rescale(statistic_from_name(f"s_{kern}"), 1.0, n=50, m=10).rescaled
-        t = rescale(statistic_from_name(f"t_{kern}"), 1.0, n=50, m=10).rescaled
+        s = rescale_factor(statistic_from_name(f"s_{kern}"), n=50, m=10)
+        t = rescale_factor(statistic_from_name(f"t_{kern}"), n=50, m=10)
         assert s < t

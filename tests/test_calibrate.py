@@ -29,7 +29,7 @@ from rankdep import (
 )
 from rankdep.aggregate import stacked_raw_statistics
 from rankdep.calibrate import stacked_tests
-from rankdep.pairwise import stack_depth
+from rankdep.pairwise import stack_depth, stacked_pair_values
 
 S_TAU = statistic_from_name("s_tau")
 
@@ -202,6 +202,17 @@ def test_s_pearson_reads_data_and_has_no_permutation_null():
         montecarlo_null(pearson, n=20, m=4, reps=9, seed=0)
     with pytest.raises(ConfigError, match="s_pearson supports only asymptotic calibration"):
         run_tests(rm, [pearson], method=MonteCarlo(reps=9, seed=0), data=data)
+
+
+def test_one_column_stack_fails_before_any_engine():
+    # the column check runs even when no pair value is requested, so a statistic
+    # that reads only correlations cannot reach them with one column
+    rm = RankMatrix(np.arange(1, 9)[:, None])
+    with pytest.raises(ValueError, match="need at least 2 columns"):
+        stacked_pair_values(rm.ranks[None], set())
+    for name in ("s_rho_s", "s_pearson"):
+        with pytest.raises(ValueError, match="need at least 2 columns"):
+            run_tests(rm, [statistic_from_name(name)], data=rm.ranks * 1.5)
 
 
 def test_s_pearson_on_a_degenerate_column_raises():

@@ -30,6 +30,14 @@ def test_zeta_ladders():
     }
 
 
+def test_derived_constants_are_cached_and_equality_reads_the_ladder():
+    ladder = solve_zetas(KernelId.T_STAR)
+    kc = constants.KernelConstants(ladder)
+    assert (kc.d, kc.zeta_d, kc.eta) == (2, Fraction(1, 225), Fraction(36, 49) / 225**2)
+    assert kc.eta is kc.eta  # derived once
+    assert kc == constants.KernelConstants(dict(ladder))  # the cached values do not count
+
+
 def test_ladder_expansion_reproduces_enumerated_moments():
     for kid in (KernelId.TAU, KernelId.RHO_HAT, KernelId.T_STAR):
         zetas = solve_zetas(kid)

@@ -417,6 +417,22 @@ def test_tau_engine_memory_is_bounded():
         assert peak < 8 * 2**20, (kind, peak)
 
 
+def test_block_cores_stay_within_the_byte_budget():
+    # the t* and D block cores size each block to a quarter of BYTE_BUDGET; numpy's
+    # ufunc buffers and the row-sum lists are not counted, but the whole call stays
+    # below the budget, over many short pairs, a square grid and one long pair
+    for n, m in ((5, 48), (64, 32), (2048, 2)):
+        rm = _random_ranks(62, n, m)
+        for kernel in (KernelId.T_STAR, KernelId.HOEFF_D):
+            tracemalloc.start()
+            try:
+                all_pairs(rm, kernel, "U")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < pairwise.BYTE_BUDGET, (n, m, kernel, peak)
+
+
 def test_tau_w_blocks_count_their_grams():
     # each point's m x m Grams g_i count against the budget beside its sign
     # rows: counting the rows alone, (40, 200) peaked at 16 MiB, and a stack
