@@ -31,10 +31,14 @@ inversions by a bottom-up merge, log n whole-array numpy steps (_inversions).
 - Dominance count, _tstar and _hoeffd: t* U and D U on a block of P column
   pairs given as two (P, n) rank arrays, in whole-array numpy calls.  Every
   per-element count is held in _count_type(n), the narrowest signed integer
-  holding n^2 (int8 to n = 11, int16 to 181, int32 to 46,340, then int64);
-  row sums are int64 and combined in Python ints.  All of a block's
-  temporaries, counted at that width, fit a quarter of BYTE_BUDGET (_plan).
-  The scalar tstar and hoeffding_d are the P = 1 case.
+  holding n^2 (int8 to n = 11, int16 to 181, int32 to 46,340, then int64).
+  t* forms its prefix counts down a chunk of rows by ceil(log2 rows)
+  shifted whole-array adds, not a cumsum, which numpy runs as a scalar loop
+  along that axis, and sums each chunk of each pair in one int64
+  (row by row where that could overflow, _tstar_chunk_fits); sums across
+  chunks, and D's, are Python ints.  All of a block's temporaries, counted
+  at that width, fit a quarter of BYTE_BUDGET (_plan).  The scalar tstar
+  and hoeffding_d are the P = 1 case.
 - _w_engine, once per pair: the W of every kernel but tau (below).
 
 Largest exact n of each path, derived in code (ExactnessCeiling above it):
@@ -174,11 +178,11 @@ def _plan(rows_cap: int, row_bytes: int, pair_bytes: int) -> tuple[int, int]:
     """(pairs per block, rows per chunk) of a block core whose pairs hold pair_bytes and
     row_bytes per row: a block fits a quarter of BYTE_BUDGET, its rows half of that (at
     least one pair, one row); at the whole budget glibc unmapped and re-faulted blocks.
-    numpy's ufunc buffers and the row-sum lists are not counted, so a block can exceed
-    its quarter by up to about 1.7x (one D pair at n = 8,192), but a whole all_pairs call
-    stays below the budget: tracemalloc peaks of 0.2-0.33 of it at (5, 48), (64, 32) and
-    (2048, 2), 0.45-0.56 at (8192, 2), and 0.97 for t* there when its per-n setup is
-    built in the same call."""
+    numpy's ufunc buffers and the input copies of t*'s overlapping adds are not counted,
+    so a block can exceed its quarter by up to about 1.7x (one D pair at n = 8,192), but
+    a whole all_pairs call stays below the budget: tracemalloc peaks of 0.18-0.28 of it at
+    (5, 48), (64, 32) and (2048, 2), and 0.32-0.44 at (8192, 2), with t*'s per-n setup
+    built in the same call or before."""
     budget = BYTE_BUDGET // 4
     rows = min(rows_cap, max(1, budget // (2 * row_bytes)))
     return max(1, budget // (pair_bytes + rows * row_bytes)), rows
@@ -195,16 +199,20 @@ def _tstar_plan(n: int) -> tuple[int, int]:  # per row: 2 bool and 3 count rows 
     return _plan(n - 1, (2 + 3 * s) * n, (24 + 3 * s) * n)  # per pair: 3 int64, 3 count n-vectors
 
 
-def _tstar_chunks(n: int) -> list[tuple[int, int]]:
-    """_tstar's row chunks [lo, hi).  The chunk at lo has n - 1 - lo columns, so it takes
-    as many rows as fill the bytes _tstar_plan gave its rows of n (at least one)."""
-    rows = _tstar_plan(n)[1]
-    chunks, lo = [], 0
+def _tstar_bounds(n: int, rows: int):
+    """_tstar's row chunks [lo, hi), made as they are run rather than stored.  The chunk
+    at lo has n - 1 - lo columns, so it takes as many rows as fill the bytes of ``rows``
+    rows of n (at least one)."""
+    lo = 0
     while lo < n - 1:
         hi = min(n - 1, lo + max(1, rows * n // (n - 1 - lo)))
-        chunks.append((lo, hi))
+        yield lo, hi
         lo = hi
-    return chunks
+
+
+def _tstar_chunks(n: int) -> list[tuple[int, int]]:
+    """_tstar's row chunks at the current BYTE_BUDGET, as a list (_tstar_bounds)."""
+    return list(_tstar_bounds(n, _tstar_plan(n)[1]))
 
 
 def _hoeffd_plan(n: int) -> tuple[int, int]:  # per row: 2 bool rows of n
@@ -214,11 +222,11 @@ def _hoeffd_plan(n: int) -> tuple[int, int]:  # per row: 2 bool rows of n
 
 @lru_cache(maxsize=1)  # keyed on the budget too: it sizes the chunks
 def _tstar_setup(n: int, budget: int) -> tuple:
-    """_tstar's per-n values, built once rather than per block: its count type, row
-    chunks, the mask j > i of a chunk's first rows, and 1..n-1 as a column."""
-    w, chunks = _count_type(n), _tstar_chunks(n)
-    rows = max(hi - lo for lo, hi in chunks)
-    return w, chunks, ~np.tri(rows, rows, dtype=bool), np.arange(1, n, dtype=w)[:, None]
+    """_tstar's per-n values, built once rather than per block: its count type, rows of
+    n per chunk, the mask j > i of a chunk's first rows, and 1..n-1 as a column."""
+    w, rows = _count_type(n), _tstar_plan(n)[1]
+    most = max(hi - lo for lo, hi in _tstar_bounds(n, rows))
+    return w, rows, ~np.tri(most, most, dtype=bool), np.arange(1, n, dtype=w)[:, None]
 
 
 @lru_cache(maxsize=1)  # keyed on the budget too: it sizes the chunks
@@ -230,6 +238,15 @@ def _hoeffd_setup(n: int, budget: int) -> tuple:
 
 # t* sums row i's n-1-i terms a(a-1) + b(b-1) <= i^2 (a + b <= i) in int64
 _TSTAR_CEILING = _largest_n(lambda n: 4 * n**3 < 27 * 2**63, 4)
+
+
+def _tstar_chunk_fits(n: int, lo: int, hi: int) -> bool:
+    """Whether one int64 sum holds a whole t* chunk: its rows i <= hi have fewer than
+    n - 1 - lo terms each, every one below hi^2.  It fails near _TSTAR_CEILING, where a
+    chunk of several short rows can pass n^3 > 2^63; _tstar then sums row by row."""
+    return (hi - lo) * (n - 1 - lo) * hi * hi < 2**63
+
+
 # every term of D1, D2 and D3 is an int64 product below n^4
 _HOEFFD_CEILING = _largest_n(lambda n: n**4 < 2**63, 5)
 
@@ -287,16 +304,20 @@ def _tstar(X: np.ndarray, Y: np.ndarray) -> list[float]:
     than points i < j, a = min(H[i, j], H[i, i]) lie above both in y and
     b = i - max(H[i, j], H[i, i]) below both: Q1 + Q2 = sum C(a,2) + C(b,2)."""
     P, n = X.shape
-    w, chunks, after, i_col = _tstar_setup(n, BYTE_BUDGET)
+    w, rows, after, i_col = _tstar_setup(n, BYTE_BUDGET)
     V = np.empty((P, n), dtype=w)
     V[np.arange(P)[:, None], n - X] = n - Y
-    q = [0] * P
-    for lo, hi in chunks:  # rows i = s + 1 of points s in [lo, hi), columns j > lo
-        h = np.cumsum(V[:, lo:hi, None] < V[:, None, lo + 1 :], axis=1, dtype=w)
+    q = 0  # Python ints once a chunk's sums are added
+    for lo, hi in _tstar_bounds(n, rows):  # rows i = s + 1 of points s in [lo, hi), columns j > lo
+        h = np.less(V[:, lo:hi, None], V[:, None, lo + 1 :]).astype(w)
         if lo:
-            h += carry[:, :, lo - prev:]  # the sums over s < lo, carried
+            h[:, 0] += carry[:, lo - prev :]  # the counts over s < lo, carried
+        k = 1
+        while k < hi - lo:  # running sums down the rows, ceil(log2 rows) shifted adds
+            h[:, k:] += h[:, :-k]  # numpy reads the overlapping operand as it was
+            k *= 2
         prev = lo
-        carry = h[:, -1:].copy()
+        carry = h[:, -1].copy()
         d = np.diagonal(h, axis1=1, axis2=2)[:, :, None].copy()  # H[i, i]
         a = np.minimum(h, d)
         a *= a - 1
@@ -305,7 +326,10 @@ def _tstar(X: np.ndarray, Y: np.ndarray) -> list[float]:
         h *= h - 1
         h += a
         h[:, :, : hi - lo] *= after[: hi - lo, : hi - lo]  # the pairs i < j only
-        q = [x + sum(r) for x, r in zip(q, h.sum(axis=2, dtype=np.int64).tolist())]
+        if _tstar_chunk_fits(n, lo, hi):
+            q = q + h.sum(axis=(1, 2), dtype=np.int64).astype(object)
+        else:
+            q = q + h.sum(axis=2, dtype=np.int64).astype(object).sum(axis=1)
     tot = math.comb(n, 4)
     return [(3 * (x // 2) - tot) / (3 * tot) for x in q]
 
@@ -453,8 +477,20 @@ class PairStatistics:
 #   g_i = sum_j s_ij^p s_ij^q (so G = sum_i g_i) and, with T = G / 2,
 #   C(n,2) C(n-2,2) W_tau = T^2 - sum_i g_i^2 + C(n,2).
 # Ranks in a column are distinct, so R_ip - R_jp is zero only for j = i;
-# signs come from the branch-free copysign(1, d) (several times faster than
-# np.sign on mixed signs), and the W path zeroes the j = i entries itself.
+# signs come from _signs, and the W path zeroes the j = i entries itself.
+
+_SIGN_BIT, _ONE_BITS = np.uint32(0x80000000), np.uint32(0x3F800000)  # float32 bits: sign, 1.0
+
+
+def _signs(a: np.ndarray) -> np.ndarray:
+    """copysign(1, a) of a contiguous float32 array, in place and bit for bit (+-0, +-inf
+    and NaN too): each sign bit kept, the other bits set to 1.0's.  Two SIMD bitwise
+    passes over a uint32 view, where np.copysign into float32 is not vectorised."""
+    bits = a.view(np.uint32)
+    np.bitwise_and(bits, _SIGN_BIT, out=bits)
+    np.bitwise_or(bits, _ONE_BITS, out=bits)
+    return a
+
 
 _F32_EXACT = 2 ** (np.finfo(np.float32).nmant + 1)  # every integer up to 2^24
 _F64_EXACT = 2 ** (np.finfo(np.float64).nmant + 1)  # every integer up to 2^53
@@ -509,7 +545,7 @@ def _tau_gram(rf: np.ndarray, depth: int) -> np.ndarray:
     fill = 0
 
     def flush(rows):
-        np.copysign(1.0, rows, out=rows, dtype=np.float32)
+        _signs(rows)
         np.add(g, _gram(rows.reshape(len(rows), depth, m).transpose(1, 0, 2)), out=g)
 
     for i in range(n - 1):
@@ -538,7 +574,7 @@ def _tau_rows(rf: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
     for lo in range(0, n, step):
         rows = np.arange(min(step, n - lo))
         b = rf[lo : lo + rows.size, None, :] - rf[None, :, :]  # (rows, n, depth m)
-        np.copysign(1.0, b, out=b, dtype=np.float32)
+        _signs(b)
         b[rows, lo + rows, :] = 0.0
         gi = _gram(b.reshape(rows.size, n, depth, m).transpose(0, 2, 1, 3)).astype(np.float64)
         g += gi.sum(axis=0)

@@ -592,16 +592,16 @@ def test_block_budget_does_not_change_bits(monkeypatch):
 def test_tstar_runs_the_chunks_of_the_current_budget(monkeypatch):
     # the block cores keep their per-n values between calls; a t* call after a
     # BYTE_BUDGET change must run the chunks of the new budget.  Each chunk makes
-    # one cumsum, which a stand-in for the module's numpy counts.
+    # one comparison np.less, which a stand-in for the module's numpy counts.
     runs = []
 
     class CountingNumpy:
         def __getattr__(self, name):
             return getattr(np, name)
 
-        def cumsum(self, *args, **kwargs):
+        def less(self, *args, **kwargs):
             runs.append(1)
-            return np.cumsum(*args, **kwargs)
+            return np.less(*args, **kwargs)
 
     rm = _random_ranks(57, 37, 2)
     want = tstar(rm.column(0), rm.column(1))
@@ -635,6 +635,50 @@ def test_tstar_chunks_sized_by_their_columns():
             assert counted <= max(quarter, planned), (n, lo, hi)
     assert pairwise._tstar_chunks(64) == [(0, 63)]  # n = 64 runs one chunk, as with rows of n
     assert len(pairwise._tstar_chunks(8192)) < 8191  # sized for n columns, every chunk was one row
+
+
+def test_tstar_setup_does_not_store_its_chunks():
+    # the chunks are made as they are run: a list of them took 1.93 budgets at n = 32,768
+    pairwise._tstar_setup.cache_clear()
+    tracemalloc.start()
+    try:
+        pairwise._tstar_setup(32768, pairwise.BYTE_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        pairwise._tstar_setup.cache_clear()
+    assert peak < pairwise.BYTE_BUDGET // 4, peak
+
+
+def test_tstar_chunk_sums_fall_back_to_row_sums(monkeypatch):
+    # one int64 sum per chunk holds every chunk at sim-perpair's n and at the largest n a
+    # test runs; near the ceiling a chunk of short rows passes 2^63 and sums row by row
+    for n in (64, 8192):
+        assert all(pairwise._tstar_chunk_fits(n, lo, hi) for lo, hi in pairwise._tstar_chunks(n)), n
+    n = pairwise._TSTAR_CEILING
+    assert pairwise._tstar_plan(n)[1] == 1 and pairwise._tstar_chunk_fits(n, 0, 1)
+    lo = n - 2001  # the chunk with 2,000 columns takes n // 2000 rows
+    assert not pairwise._tstar_chunk_fits(n, lo, lo + n // 2000)
+    rm = _random_ranks(63, 37, 5)
+    monkeypatch.setattr(pairwise, "BYTE_BUDGET", 4096)  # several chunks per pair
+    want = all_pairs(rm, KernelId.T_STAR, "U").values
+    monkeypatch.setattr(pairwise, "_tstar_chunk_fits", lambda n, lo, hi: False)
+    assert all_pairs(rm, KernelId.T_STAR, "U").values.tobytes() == want.tobytes()
+
+
+def test_signs_are_copysign_bit_for_bit():
+    f32 = np.float32
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0], dtype=f32)
+    nans = np.array([0x7FC00000, 0xFFC00000, 0x7F800001, 0xFF800001], dtype=np.uint32).view(f32)
+    tiny = np.array([1, 0x7FFFFF, 0x80000001, 0x807FFFFF], dtype=np.uint32).view(f32)  # subnormals
+    rng = np.random.default_rng(64)
+    diffs = rng.integers(1, 2**24 + 1, size=4096) * rng.choice([-1, 1], size=4096)
+    ends = [1, -1, 2**24, -(2**24)]
+    bits = rng.integers(0, 2**32, size=2**16, dtype=np.uint32).view(f32)
+    for x in (special, nans, tiny, np.array(ends + diffs.tolist(), dtype=f32), bits):
+        want = np.copysign(f32(1), x)
+        got = pairwise._signs(x.copy())
+        assert got.dtype == np.float32 and got.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
 
 
 def _rank_stack(seed, depth, n, m):
