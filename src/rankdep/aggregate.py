@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, DegenerateColumn, SampleTooSmall, UnknownConstant
-from .kernels import DEGREE, KernelId, mu_h_exact
+from .kernels import KernelId, mu_h_exact
 from .pairwise import stacked_pair_values, stacked_spearman
 from .ranks import RankMatrix
 
@@ -107,7 +107,7 @@ def statistic_from_name(name: str) -> StatisticId:
 
 
 def min_sample_size(statistic: StatisticId) -> int:
-    return statistic.kind.degrees * DEGREE[statistic.kernel or KernelId.TAU]
+    return statistic.kind.degrees * (statistic.kernel or KernelId.TAU).degree
 
 
 def check_sample_size(statistics, n: int) -> None:
@@ -207,7 +207,7 @@ def rescale_factor(statistic: StatisticId, n: int, m: int) -> float:
     if statistic.kernel is None:
         return n / m
     kc = constants.get().kernel(statistic.kernel)
-    k, d, zeta_d = kc.k, kc.d, kc.zeta_d
+    k, d, zeta_d = statistic.kernel.degree, kc.d, kc.zeta_d
     kind = statistic.kind
     if d == 1:
         if kind is StatKind.Z:

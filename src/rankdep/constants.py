@@ -3,12 +3,13 @@
 The only stored fact per kernel is its covariance ladder zeta_1..zeta_k,
 found by exact enumeration: stamp() runs the oracles in the exact module,
 and to_json() gives the JSON file shipped with the package.  The file is
-only ever read; a missing one is an error, not regenerated.  Everything
-else is derived from the ladder on load: the degree k, the degeneracy order
-d (the first non-zero zeta_c), the fourth-moment quantity eta (degenerate
-kernels only), and, in kernels.mu_h_exact, the exact null moment mu_h at
-every n.  verify() re-derives each ladder and reports one named check per
-kernel, so a corrupted or stale file is caught by the selftest.
+only ever read; a missing one is an error, not regenerated, and so is a
+ladder whose length is not its kernel's degree k (its KernelId row).  The
+rest is derived from the ladder on load: the degeneracy order d (the first
+non-zero zeta_c), the fourth-moment quantity eta (degenerate kernels only),
+and, in kernels.mu_h_exact, the exact null moment mu_h at every n.
+verify() re-derives each ladder and reports one named check per kernel, so
+a corrupted or stale file is caught by the selftest.
 
 For the two degenerate kernels the fourth-moment quantity follows from the
 squared-eigenvalue ladder of the second-order projection, whose spectrum is
@@ -39,11 +40,7 @@ class KernelConstants:
     """A kernel's zeta ladder; d, zeta_d and eta are derived once per instance, and
     equality compares the ladder only."""
 
-    zetas: dict[int, Fraction]  # c -> zeta_c for c = 1..k
-
-    @property
-    def k(self) -> int:
-        return len(self.zetas)
+    zetas: dict[int, Fraction]  # c -> zeta_c for c = 1..k, k the kernel's degree
 
     @cached_property
     def d(self) -> int:
@@ -116,9 +113,10 @@ def from_json(text: str) -> Constants:
             key: KernelConstants({int(c): _frac_from_str(z) for c, z in kc["zetas"].items()})
             for key, kc in obj["kernels"].items()
         }
-        for key, kc in kernels.items():  # k and d are read off the ladder
-            if sorted(kc.zetas) != list(range(1, kc.k + 1)) or not any(kc.zetas.values()):
-                raise ValueError(f"{key} needs zeta_1..zeta_k, not all zero")
+        for key, kc in kernels.items():  # k is the kernel's degree; d is read off the ladder
+            k = KernelId(key).degree
+            if sorted(kc.zetas) != list(range(1, k + 1)) or not any(kc.zetas.values()):
+                raise ValueError(f"{key} needs zeta_1..zeta_k (k = {k}), not all zero")
         return Constants(version=int(obj["version"]), kernels=kernels)
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
         raise UnknownConstant(f"constants file unreadable: {e}") from e

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .kernels import _FACT, DEGREE, SCALE, KernelId, mu_from_zetas, scaled_table
+from .kernels import _FACT, KernelId, mu_from_zetas, scaled_table
 
 
 def all_perms(n: int) -> np.ndarray:
@@ -38,7 +38,7 @@ def all_perms(n: int) -> np.ndarray:
 
 def mu_exact(kernel: KernelId, n: int) -> Fraction:
     """Exact E[U^2] at sample size n by full permutation enumeration."""
-    k = DEGREE[kernel]
+    k = kernel.degree
     if n < k:
         raise ValueError(f"need n >= {k}")
     tvec = scaled_table(kernel)
@@ -60,12 +60,12 @@ def mu_exact(kernel: KernelId, n: int) -> Fraction:
                 code += below * weights[i]
             u += tvec[code]
         tot += int(np.dot(u, u))
-    return Fraction(tot, _FACT[n] * math.comb(n, k) ** 2 * SCALE[kernel] ** 2)
+    return Fraction(tot, _FACT[n] * math.comb(n, k) ** 2 * kernel.scale**2)
 
 
 def solve_zetas(kernel: KernelId, mus: dict[int, Fraction] | None = None) -> dict[int, Fraction]:
     """Recover zeta_1..zeta_k from exact mu(n), n = k..2k-1."""
-    k = DEGREE[kernel]
+    k = kernel.degree
     if mus is None:
         mus = {n: mu_exact(kernel, n) for n in range(k, 2 * k)}
     zetas: dict[int, Fraction] = {}

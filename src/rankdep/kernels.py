@@ -1,18 +1,21 @@
 """Symmetric rank-correlation kernels and their exact null moments.
 
-Four kernels are supported, identified by KernelId:
+Four kernels are supported.  Each KernelId member is its kernel's one row of
+facts (key, degree k, scale, definition), read as kernel.degree and so on:
 
-  TAU      degree 2   sign concordance of a pair
-  RHO_HAT  degree 3   symmetrized grade-correlation kernel
-  T_STAR   degree 4   concordance-of-quadruples kernel
-  HOEFF_D  degree 5   joint-vs-product distribution distance kernel
+  TAU      degree 2   scale 1    sign concordance of a pair
+  RHO_HAT  degree 3   scale 1    symmetrized grade-correlation kernel
+  T_STAR   degree 4   scale 3    concordance-of-quadruples kernel
+  HOEFF_D  degree 5   scale 60   joint-vs-product distribution distance kernel
 
 Each kernel depends on its k points only through the relative order of the
-x-coordinates and of the y-coordinates, so it is tabulated once per kernel:
-with x-ranks fixed ascending, the kernel value is a function of the pattern
-(within-tuple ranks) of the y-coordinates.  All table values are exact
-rationals with a small integer scaling (1, 1, 3, 60), which lets every
-downstream statistic be computed in exact integer arithmetic.
+x-coordinates and of the y-coordinates, so it is tabulated once per kernel,
+on first use: with x-ranks fixed ascending, the kernel value is a function of
+the pattern (within-tuple ranks) of the y-coordinates.  All table values are
+exact rationals that the kernel's integer scale clears, which lets every
+downstream statistic be computed in exact integer arithmetic.  The pair
+stage's engines and their exact-n ceilings are rows of a (kernel, kind)
+table in pairwise.
 
 mu_h(kernel, n) is the exact null second moment E[U^2] of the corresponding
 pairwise U-statistic when the two rank columns are independent uniform
@@ -35,23 +38,6 @@ import numpy as np
 from .errors import SampleTooSmall, TiesPresent, WrongArity
 
 _FACT = [math.factorial(i) for i in range(13)]
-
-
-class KernelId(enum.Enum):
-    TAU = "tau"
-    RHO_HAT = "rho_hat"
-    T_STAR = "tstar"
-    HOEFF_D = "hoeffd"
-
-    @property
-    def key(self) -> str:
-        return self.value
-
-
-DEGREE = {KernelId.TAU: 2, KernelId.RHO_HAT: 3, KernelId.T_STAR: 4, KernelId.HOEFF_D: 5}
-
-# integer scaling that clears every denominator in the pattern table
-SCALE = {KernelId.TAU: 1, KernelId.RHO_HAT: 1, KernelId.T_STAR: 3, KernelId.HOEFF_D: 60}
 
 
 def _sgn(x) -> int:
@@ -95,12 +81,25 @@ def _h_t_star(rx, ry) -> Fraction:
     return Fraction(s, 24)
 
 
-_DEFINITION = {
-    KernelId.TAU: _h_tau,
-    KernelId.RHO_HAT: _h_rho_hat,
-    KernelId.T_STAR: _h_t_star,
-    KernelId.HOEFF_D: _h_hoeff_d,
-}
+class KernelId(enum.Enum):
+    """One row per kernel: key (the value), degree k, scale and definition h(rx, ry)."""
+
+    TAU = ("tau", 2, 1, _h_tau)
+    RHO_HAT = ("rho_hat", 3, 1, _h_rho_hat)
+    T_STAR = ("tstar", 4, 3, _h_t_star)
+    HOEFF_D = ("hoeffd", 5, 60, _h_hoeff_d)
+
+    def __new__(cls, key, degree, scale, definition):
+        member = object.__new__(cls)
+        member._value_ = key
+        member.degree = degree
+        member.scale = scale
+        member.definition = definition
+        return member
+
+    @property
+    def key(self) -> str:
+        return self.value
 
 
 def pattern(values) -> tuple[int, ...]:
@@ -125,18 +124,15 @@ def perm_code(p) -> int:
 @lru_cache(maxsize=None)
 def table(kernel: KernelId) -> dict[tuple[int, ...], Fraction]:
     """y-pattern (x fixed ascending) -> exact kernel value."""
-    k = DEGREE[kernel]
-    h = _DEFINITION[kernel]
-    xid = tuple(range(1, k + 1))
-    return {p: h(xid, p) for p in itertools.permutations(xid)}
+    xid = tuple(range(1, kernel.degree + 1))
+    return {p: kernel.definition(xid, p) for p in itertools.permutations(xid)}
 
 
 @lru_cache(maxsize=None)
 def scaled_table(kernel: KernelId) -> np.ndarray:
-    """int64 vector of SCALE[kernel] * h, indexed by perm_code of the pattern."""
-    k = DEGREE[kernel]
-    s = SCALE[kernel]
-    vec = np.zeros(_FACT[k], dtype=np.int64)
+    """int64 vector of kernel.scale * h, indexed by perm_code of the pattern."""
+    s = kernel.scale
+    vec = np.zeros(_FACT[kernel.degree], dtype=np.int64)
     for p, v in table(kernel).items():
         sv = v * s
         if sv.denominator != 1:
@@ -147,7 +143,7 @@ def scaled_table(kernel: KernelId) -> np.ndarray:
 
 def eval_kernel(kernel: KernelId, points) -> float:
     """Kernel value on k (x, y) points, using only within-tuple ranks."""
-    k = DEGREE[kernel]
+    k = kernel.degree
     pts = list(points)
     if len(pts) != k:
         raise WrongArity(f"{kernel.key} kernel takes {k} points, got {len(pts)}")
@@ -164,7 +160,7 @@ def eval_kernel(kernel: KernelId, points) -> float:
 
 def mu_from_zetas(kernel: KernelId, n: int, zetas: dict[int, Fraction]) -> Fraction:
     """E[U^2] at any n >= k from the covariance ladder, over one common denominator."""
-    k = DEGREE[kernel]
+    k = kernel.degree
     den = math.lcm(*(z.denominator for z in zetas.values()))
     num = sum(
         math.comb(k, c) * math.comb(n - k, k - c) * z.numerator * (den // z.denominator)
@@ -175,7 +171,7 @@ def mu_from_zetas(kernel: KernelId, n: int, zetas: dict[int, Fraction]) -> Fract
 
 def mu_h_exact(kernel: KernelId, n: int) -> Fraction:
     """Exact rational E[U^2] for sample size n (valid for all n >= degree)."""
-    k = DEGREE[kernel]
+    k = kernel.degree
     if n < k:
         raise SampleTooSmall(f"mu_h({kernel.key}) needs n >= {k}, got {n}")
     from . import constants

@@ -11,8 +11,9 @@ stacked_pair_values is the one pair stage: it takes a (depth, n, m) stack of
 rank matrices (a stack of one for pair_statistics, a batch of permutation
 replicates for the Monte Carlo null) and is the one place that checks it:
 each requested (kernel, kind) against its minimum n (k for U, 2k for W) and
-its _ceiling, before any engine runs.  It runs one engine per algebraic form,
-the last two over the stack's depth C(m,2) column pairs split into at most
+its ceiling, before any engine runs.  Each row of _PAIR_STAGE, its one table,
+holds a (kernel, kind)'s engine, one per algebraic form, and ceiling.  The last
+two engines run over the stack's depth C(m,2) column pairs split into at most
 ``threads`` contiguous ranges: the package's only thread pool.  Scalar
 functions check their own input; the scalar Kendall tau and rho_hat count
 inversions by a bottom-up merge, log n whole-array numpy steps (_inversions).
@@ -41,7 +42,8 @@ inversions by a bottom-up merge, log n whole-array numpy steps (_inversions).
   and hoeffding_d are the P = 1 case.
 - _w_engine, once per pair: the W of every kernel but tau (below).
 
-Largest exact n of each path, derived in code (ExactnessCeiling above it):
+Largest exact n of each path, derived in code (ExactnessCeiling above it),
+the pair stage's in their _PAIR_STAGE rows:
   tau U 2^24 (float32 sign products); rho_hat U and Spearman's rho 131,071
   (12 sum R S in float64); all-pairs tau W 13,777 (C(n,2)^2 in float64);
   t* U 3,963,368 (int64 row sums below 4 n^3 / 27); Hoeffding's D U 55,108
@@ -55,7 +57,7 @@ D U 0.002 s at n = 2,048; W of t* 0.4 s at n = 96, of D 0.2 s at n = 24).
 U-statistics average the kernel over k-subsets; W-statistics average
 h(S1) * h(S2) over ordered pairs of disjoint k-subsets and are exactly
 unbiased for the squared signal.  _w_engine computes each scalar W, and the
-all-pairs W of every kernel but tau, from C(n,k) C(n-k,k) SCALE^2 W =
+all-pairs W of every kernel but tau, from C(n,k) C(n-k,k) scale^2 W =
 sum_A (-1)^|A| H_A^2, where H_A sums the scaled kernel over the k-subsets
 containing the index set A.  One pass fills every H_A with |A| <= k-1 and
 sum h^2 in O(n^k) time and O(n^(k-1)) memory.
@@ -75,7 +77,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ExactnessCeiling, LengthMismatch, SampleTooSmall
-from .kernels import _FACT, DEGREE, SCALE, KernelId, pattern, perm_code, scaled_table
+from .kernels import _FACT, KernelId, pattern, perm_code, scaled_table
 from .ranks import RankMatrix
 
 
@@ -134,7 +136,7 @@ def _tau_inv(rx: np.ndarray, ry: np.ndarray, n: int) -> int:
 
 def kendall_tau_fast(rx, ry) -> float:
     """Kendall tau of two rank vectors in O(n log n)."""
-    vx, vy, n = _check_pair(rx, ry, DEGREE[KernelId.TAU], "kendall_tau_fast")
+    vx, vy, n = _check_pair(rx, ry, KernelId.TAU.degree, "kendall_tau_fast")
     inv = _tau_inv(vx, vy, n)
     return (n * (n - 1) - 4 * inv) / (n * (n - 1))
 
@@ -163,7 +165,7 @@ def rho_hat(rx, ry) -> float:
     Single integer numerator: (rho_num - 3 tau_num) / (n(n-1)(n-2)) with
     rho_num = 12 sum(R_i S_i) - 3n(n+1)^2 and tau_num = n(n-1) tau.
     """
-    vx, vy, n = _check_pair(rx, ry, DEGREE[KernelId.RHO_HAT], "rho_hat")
+    vx, vy, n = _check_pair(rx, ry, KernelId.RHO_HAT.degree, "rho_hat")
     rnum = 12 * _rank_dot(vx, vy, n) - 3 * n * (n + 1) ** 2
     tnum = n * (n - 1) - 4 * _tau_inv(vx, vy, n)
     return (rnum - 3 * tnum) / (n * (n - 1) * (n - 2))
@@ -236,19 +238,11 @@ def _hoeffd_setup(n: int, budget: int) -> tuple:
     return _count_type(n), rows, np.tri(rows, rows, -1, dtype=bool), np.arange(1, n + 1)[None]
 
 
-# t* sums row i's n-1-i terms a(a-1) + b(b-1) <= i^2 (a + b <= i) in int64
-_TSTAR_CEILING = _largest_n(lambda n: 4 * n**3 < 27 * 2**63, 4)
-
-
 def _tstar_chunk_fits(n: int, lo: int, hi: int) -> bool:
     """Whether one int64 sum holds a whole t* chunk: its rows i <= hi have fewer than
-    n - 1 - lo terms each, every one below hi^2.  It fails near _TSTAR_CEILING, where a
+    n - 1 - lo terms each, every one below hi^2.  It fails near t*'s ceiling, where a
     chunk of several short rows can pass n^3 > 2^63; _tstar then sums row by row."""
     return (hi - lo) * (n - 1 - lo) * hi * hi < 2**63
-
-
-# every term of D1, D2 and D3 is an int64 product below n^4
-_HOEFFD_CEILING = _largest_n(lambda n: n**4 < 2**63, 5)
 
 
 def _hoeffding_num(X: np.ndarray, Y: np.ndarray, C: np.ndarray) -> list[int]:
@@ -291,8 +285,8 @@ def hoeffding_d(rx, ry) -> float:
     D2 = sum (R-1)(R-2)(S-1)(S-2), D3 = sum (R-2)(S-2)c.  The ceiling
     (see _hoeffding_num) is checked before any count is made.
     """
-    vx, vy, n = _check_pair(rx, ry, DEGREE[KernelId.HOEFF_D], "hoeffding_d")
-    _check_ceiling(n, _HOEFFD_CEILING, "U(hoeffd)")
+    vx, vy, n = _check_pair(rx, ry, KernelId.HOEFF_D.degree, "hoeffding_d")
+    _check_ceiling(n, _ceiling(KernelId.HOEFF_D, "U"), "U(hoeffd)")
     return _hoeffd(vx[None], vy[None])[0]
 
 
@@ -342,8 +336,8 @@ def tstar(rx, ry) -> float:
     qualifying quadruples by their two x-smallest points gives
     t* = (3(Q1+Q2) - C(n,4)) / (3 C(n,4)).
     """
-    vx, vy, n = _check_pair(rx, ry, DEGREE[KernelId.T_STAR], "tstar")
-    _check_ceiling(n, _TSTAR_CEILING, "U(tstar)")
+    vx, vy, n = _check_pair(rx, ry, KernelId.T_STAR.degree, "tstar")
+    _check_ceiling(n, _ceiling(KernelId.T_STAR, "U"), "U(tstar)")
     return _tstar(vx[None], vy[None])[0]
 
 
@@ -353,7 +347,6 @@ _FAST_U = {
     KernelId.T_STAR: tstar,
     KernelId.HOEFF_D: hoeffding_d,
 }
-_U_BLOCKS = {KernelId.T_STAR: (_tstar, _tstar_plan), KernelId.HOEFF_D: (_hoeffd, _hoeffd_plan)}
 
 
 # ------------------------------------------------------------- naive oracles
@@ -366,16 +359,16 @@ def _h_naive(tvec: np.ndarray, vx: np.ndarray, vy: np.ndarray, idx) -> int:
 
 def u_stat_naive(kernel: KernelId, rx, ry) -> float:
     """U-statistic by direct enumeration of all k-subsets (oracle)."""
-    k = DEGREE[kernel]
+    k = kernel.degree
     vx, vy, n = _check_pair(rx, ry, k, "u_stat_naive")
     tvec = scaled_table(kernel)
     tot = sum(_h_naive(tvec, vx, vy, idx) for idx in itertools.combinations(range(n), k))
-    return float(Fraction(tot, math.comb(n, k) * SCALE[kernel]))
+    return float(Fraction(tot, math.comb(n, k) * kernel.scale))
 
 
 def w_stat_naive(kernel: KernelId, rx, ry) -> float:
     """W-statistic by enumerating 2k-subsets and all k/k splits (oracle)."""
-    k = DEGREE[kernel]
+    k = kernel.degree
     vx, vy, n = _check_pair(rx, ry, 2 * k, "w_stat_naive")
     tvec = scaled_table(kernel)
     tot = 0
@@ -383,7 +376,7 @@ def w_stat_naive(kernel: KernelId, rx, ry) -> float:
         for j in itertools.combinations(u, k):
             comp = tuple(x for x in u if x not in j)
             tot += _h_naive(tvec, vx, vy, j) * _h_naive(tvec, vx, vy, comp)
-    den = math.comb(n, 2 * k) * math.comb(2 * k, k) * SCALE[kernel] ** 2
+    den = math.comb(n, 2 * k) * math.comb(2 * k, k) * kernel.scale**2
     return float(Fraction(tot, den))
 
 
@@ -393,7 +386,7 @@ def w_stat_naive(kernel: KernelId, rx, ry) -> float:
 def _w_ceiling(kernel: KernelId) -> int:
     """Largest n at which _w_engine's level sums of squares fit in int64:
     level a has C(n,a) entries, each at most max|h| C(n-a,k-a) in size."""
-    k = DEGREE[kernel]
+    k = kernel.degree
     hmax = int(np.abs(scaled_table(kernel)).max())
 
     def fits(n):
@@ -406,7 +399,7 @@ def _w_engine(kernel: KernelId, vx: np.ndarray, vy: np.ndarray, n: int) -> float
     """W-statistic by inclusion-exclusion (module docstring) in one pass: the
     slab h(c + {a, b}) of each (k-2)-prefix c, over the pairs a < b after it in
     x-rank order, adds into every H_A with |A| <= k-1 and into sum h^2."""
-    k = DEGREE[kernel]
+    k = kernel.degree
     tvec = scaled_table(kernel)
     s = vy[np.argsort(vx)].astype(np.int64)  # y-ranks in x-order
     f = k - 2
@@ -441,13 +434,13 @@ def _w_engine(kernel: KernelId, vx: np.ndarray, vy: np.ndarray, n: int) -> float
     num = h_all * h_all + (-1) ** k * h_sq
     for a, lv in levels.items():
         num += (-1) ** a * int(np.vdot(lv, lv))
-    den = math.comb(n, k) * math.comb(n - k, k) * SCALE[kernel] ** 2
+    den = math.comb(n, k) * math.comb(n - k, k) * kernel.scale**2
     return float(Fraction(num, den))
 
 
 def w_stat(kernel: KernelId, rx, ry) -> float:
     """Unbiased squared-signal W-statistic for one pair of rank vectors."""
-    vx, vy, n = _check_pair(rx, ry, 2 * DEGREE[kernel], "w_stat")
+    vx, vy, n = _check_pair(rx, ry, 2 * kernel.degree, "w_stat")
     _check_ceiling(n, _w_ceiling(kernel), f"W({kernel.key})")
     return _w_engine(kernel, vx, vy, n)
 
@@ -495,24 +488,8 @@ def _signs(a: np.ndarray) -> np.ndarray:
 _F32_EXACT = 2 ** (np.finfo(np.float32).nmant + 1)  # every integer up to 2^24
 _F64_EXACT = 2 ** (np.finfo(np.float64).nmant + 1)  # every integer up to 2^53
 
-# Largest exact n of each tau-family value: float32 signs and g_i to 2^24; in
-# float64, 12 sum R S <= 2n(n+1)(2n+1) (rho_hat, Spearman) and tau W's T^2 <= C(n,2)^2.
+# in float64, 12 sum R S <= 2n(n+1)(2n+1): rho_hat U and Spearman's rho
 _RANK_GRAM_CEILING = _largest_n(lambda n: 2 * n * (n + 1) * (2 * n + 1) <= _F64_EXACT, 2)
-TAU_FAMILY = {
-    (KernelId.TAU, "U"): _F32_EXACT,
-    (KernelId.RHO_HAT, "U"): _RANK_GRAM_CEILING,
-    (KernelId.TAU, "W"): _largest_n(lambda n: math.comb(n, 2) ** 2 <= _F64_EXACT, 4),
-}
-
-
-def _ceiling(kernel: KernelId, kind: str) -> int:
-    """Largest exact n of each pair-stage (kernel, kind): the one table of them.
-    The W engine's need the kernel's table (tens of ms), so not at import."""
-    if (kernel, kind) in TAU_FAMILY:
-        return TAU_FAMILY[(kernel, kind)]
-    if kind == "W":
-        return _w_ceiling(kernel)
-    return {KernelId.T_STAR: _TSTAR_CEILING, KernelId.HOEFF_D: _HOEFFD_CEILING}[kernel]
 
 
 def _slab_rows(width: int, budget: int) -> int:
@@ -623,9 +600,9 @@ def tau_family_pairs(stack: np.ndarray, requirements) -> dict[tuple[KernelId, st
     """Tau U, rho_hat U and tau W on every column pair of each matrix of a
     (depth, n, m) rank stack, as (depth, C(m,2)) arrays, from one tau-engine pass.
 
-    ``requirements`` is a collection of (kernel, kind) pairs from TAU_FAMILY,
-    checked by the caller (stacked_pair_values) against their minimum n and
-    TAU_FAMILY ceiling.  The sign products are formed once: by the per-row W
+    ``requirements`` is a collection of (kernel, kind) pairs whose _PAIR_STAGE row
+    names this engine, checked by the caller (stacked_pair_values) against their
+    minimum n and ceiling.  The sign products are formed once: by the per-row W
     pass when tau W is requested (it also yields G), otherwise by the
     upper-triangle U pass.  Each value is an exact integer ratio rounded once,
     so the result does not depend on BLAS threading, blocking or the depth.
@@ -653,6 +630,30 @@ def tau_family_pairs(stack: np.ndarray, requirements) -> dict[tuple[KernelId, st
     return out
 
 
+# The pair stage's one table: (kernel, kind) -> (engine, largest exact n).  The rows
+# whose engine is the tau Gram are the tau family, run in one pass.  A W row's ceiling
+# is _w_ceiling, run on first use: it builds the kernel's pattern table (tens of ms).
+_PAIR_STAGE = {
+    (KernelId.TAU, "U"): (tau_family_pairs, _F32_EXACT),  # float32 signs and slab Grams
+    (KernelId.RHO_HAT, "U"): (tau_family_pairs, _RANK_GRAM_CEILING),
+    # in float64, T^2 <= C(n,2)^2
+    (KernelId.TAU, "W"): (tau_family_pairs, _largest_n(lambda n: math.comb(n, 2) ** 2 <= _F64_EXACT, 4)),
+    # t* sums row i's n-1-i terms a(a-1) + b(b-1) <= i^2 (a + b <= i) in int64
+    (KernelId.T_STAR, "U"): ((_tstar, _tstar_plan), _largest_n(lambda n: 4 * n**3 < 27 * 2**63, 4)),
+    # every term of D1, D2 and D3 is an int64 product below n^4
+    (KernelId.HOEFF_D, "U"): ((_hoeffd, _hoeffd_plan), _largest_n(lambda n: n**4 < 2**63, 5)),
+    (KernelId.RHO_HAT, "W"): (_w_engine, _w_ceiling),
+    (KernelId.T_STAR, "W"): (_w_engine, _w_ceiling),
+    (KernelId.HOEFF_D, "W"): (_w_engine, _w_ceiling),
+}
+
+
+def _ceiling(kernel: KernelId, kind: str) -> int:
+    """Largest exact n of a pair-stage (kernel, kind), read from its row."""
+    ceiling = _PAIR_STAGE[(kernel, kind)][1]
+    return ceiling(kernel) if callable(ceiling) else ceiling
+
+
 def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -668,7 +669,7 @@ def _check_requests(reqs: set, n: int, m: int, threads: int) -> None:
     for kernel, kind in sorted(reqs, key=str):
         if kind not in ("U", "W"):
             raise ValueError(f"kind must be 'U' or 'W', got {kind!r}")
-        min_n = DEGREE[kernel] if kind == "U" else 2 * DEGREE[kernel]
+        min_n = kernel.degree if kind == "U" else 2 * kernel.degree
         if n < min_n:
             raise SampleTooSmall(f"{kind}({kernel.key}) needs n >= {min_n}, got {n}")
         _check_ceiling(n, _ceiling(kernel, kind), f"{kind}({kernel.key})")
@@ -676,8 +677,9 @@ def _check_requests(reqs: set, n: int, m: int, threads: int) -> None:
 
 def _pair_values(stack: np.ndarray, reqs: set, threads: int) -> dict[tuple, np.ndarray]:
     depth, n, m = stack.shape
-    out = tau_family_pairs(stack, reqs & TAU_FAMILY.keys())
-    rest = list(reqs - TAU_FAMILY.keys())
+    gram = {req for req in reqs if _PAIR_STAGE[req][0] is tau_family_pairs}
+    out = tau_family_pairs(stack, gram)
+    rest = list(reqs - gram)
     if not rest:
         return out
     # row b m + p: column p of matrix b; pair i of the stack is (ps[i], qs[i])
@@ -687,11 +689,12 @@ def _pair_values(stack: np.ndarray, reqs: set, threads: int) -> dict[tuple, np.n
 
     def work(lo, hi):
         for row, (kernel, kind) in zip(vals, rest):
-            if kind == "W":
+            engine = _PAIR_STAGE[(kernel, kind)][0]
+            if engine is _w_engine:
                 for i in range(lo, hi):
                     row[i] = _w_engine(kernel, cols[ps[i]], cols[qs[i]], n)
                 continue
-            core, plan = _U_BLOCKS[kernel]
+            core, plan = engine
             step = plan(n)[0]
             for a in range(lo, hi, step):
                 b = min(hi, a + step)

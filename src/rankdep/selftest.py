@@ -16,7 +16,7 @@ from . import _rng, constants
 from .calibrate import gumbel_max_pvalue, normal_pvalue
 from .errors import DomainError
 from .aggregate import rescale_factor, statistic_from_name
-from .kernels import DEGREE, KernelId, eval_kernel, mu_h_exact
+from .kernels import KernelId, eval_kernel, mu_h_exact
 from .pairwise import (
     _FAST_U,
     hoeffding_d,
@@ -87,10 +87,9 @@ def run_selftest(constants_path: str | None = None) -> list[CheckResult]:
     # fast paths against subset-enumeration oracles
     rng = _rng.generator(2024, 0, 0)
     for kid in KernelId:
-        k = DEGREE[kid]
         bad = 0
         for _ in range(8):
-            n = int(rng.integers(k, 10))
+            n = int(rng.integers(kid.degree, 10))
             rx, ry = _rand_perm(rng, n), _rand_perm(rng, n)
             if not _close(_FAST_U[kid](rx, ry), u_stat_naive(kid, rx, ry)):
                 bad += 1

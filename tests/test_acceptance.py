@@ -39,7 +39,7 @@ from rankdep import (
 from rankdep._rng import generator
 from rankdep.cli import main as cli_main
 from rankdep.exact import mu_from_zetas, solve_zetas
-from rankdep.kernels import DEGREE, mu_h_exact
+from rankdep.kernels import mu_h_exact
 from rankdep.pairwise import _FAST_U
 
 S_TAU = statistic_from_name("s_tau")
@@ -62,7 +62,7 @@ def test_criterion_01_oracle_equivalence():
     rng = generator(101, 0, 0)
     worst_u = 0.0
     for kid in KernelId:
-        k = DEGREE[kid]
+        k = kid.degree
         for _ in range(200):
             n = int(rng.integers(k, 13))
             rx = (rng.permutation(n) + 1).tolist()

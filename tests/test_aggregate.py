@@ -22,6 +22,7 @@ from rankdep import (
     rescale_factor,
     statistic_from_name,
 )
+from rankdep import pairwise
 from rankdep._rng import generator
 from rankdep.aggregate import pair_requirement, stacked_raw_statistics
 
@@ -202,6 +203,37 @@ def test_raw_statistics_match_single_statistic_calls():
     for sid, value in zip(stats, joint):
         assert value == raw_statistic(rm, sid), sid.name
     assert raw_statistics(rm, stats[::-1]) == joint[::-1]
+
+
+def test_rank_statistics_metamorphic_identities(monkeypatch):
+    # every pair value is an exact integer ratio, fsum is correctly rounded and a
+    # max takes no order, so these relabelings keep all 13 rank statistics bit for
+    # bit: rows permuted jointly, columns permuted, every column reversed, and one
+    # column reversed, for all but z_tau and z_rho_hat, whose pair values with that
+    # column change sign (t* and D do not see one coordinate reflected).  The small
+    # budget splits every slab, chunk and block; its values must equal the default's.
+    names = [name for name in NAMED_STATISTICS if name != "s_pearson"]
+    stats = [NAMED_STATISTICS[name] for name in names]
+    signed = {"z_tau", "z_rho_hat"}
+
+    def bits(r):
+        return [v.hex() for v in raw_statistics(RankMatrix(r), stats)]
+
+    default = pairwise.BYTE_BUDGET
+    for seed, (n, m) in enumerate(((10, 3), (11, 4), (12, 5), (13, 6), (10, 6), (13, 3))):
+        rng = generator(70 + seed, 0, 0)
+        r = random_ranks(70 + seed, n, m).ranks
+        monkeypatch.setattr(pairwise, "BYTE_BUDGET", default)
+        want = bits(r)
+        one, c = r.copy(), rng.integers(m)
+        one[:, c] = n + 1 - one[:, c]
+        moved = {"rows": r[rng.permutation(n)], "columns": r[:, rng.permutation(m)], "reversed": n + 1 - r}
+        for budget in (default, 1024):
+            monkeypatch.setattr(pairwise, "BYTE_BUDGET", budget)
+            for what, x in moved.items():
+                assert bits(x) == want, (n, m, budget, what)
+            for name, a, b in zip(names, bits(one), want):
+                assert a == b or name in signed, (n, m, budget, name)
 
 
 def test_rescale_factors_worked_values():

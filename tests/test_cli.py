@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -281,6 +282,23 @@ def test_selftest_missing_constants_exits_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and str(path) in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_ladder_longer_than_the_degree_exits_3(tmp_path):
+    # a tau ladder with a zeta_3 was once read as k = 3: z_tau ran on a wrong
+    # rescale factor, and s_tau died in mu_from_zetas with a traceback
+    doc = json.loads(constants.to_json(constants.load(constants.default_path())))
+    doc["kernels"]["tau"]["zetas"]["3"] = "0/1"
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    p = write_demo_csv(tmp_path / "d.csv", n=40, m=6)
+    for stat in ("z_tau", "s_tau"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rankdep.cli", "test", str(p), "--stats", stat],
+            capture_output=True, text=True, env={**os.environ, "RANKDEP_CONSTANTS": str(path)},
+        )
+        assert (proc.returncode, proc.stdout) == (3, ""), stat
+        assert proc.stderr == "error: constants file unreadable: tau needs zeta_1..zeta_k (k = 2), not all zero\n"
 
 
 def test_console_script_entry_point(tmp_path):

@@ -41,7 +41,7 @@ def test_derived_constants_are_cached_and_equality_reads_the_ladder():
 def test_ladder_expansion_reproduces_enumerated_moments():
     for kid in (KernelId.TAU, KernelId.RHO_HAT, KernelId.T_STAR):
         zetas = solve_zetas(kid)
-        k = constants.get().kernel(kid).k
+        k = kid.degree
         for n in range(k, 2 * k + 2):
             assert mu_from_zetas(kid, n, zetas) == mu_exact(kid, n)
 
@@ -74,12 +74,18 @@ def test_unreadable_file_raises(tmp_path):
     with pytest.raises(constants.UnknownConstant):
         constants.load(path)
     # a ladder that cannot give k and d is rejected on load, not when first used
-    for ladder in ({"1": "0/1", "2": "0/1"}, {"1": "1/9", "3": "1/1"}):
+    for ladder in ({"1": "0/1", "2": "0/1"}, {"1": "1/9", "3": "1/1"}, {"1": "1/9", "2": "1/1", "3": "0/1"}):
         obj = json.loads(constants.to_json(constants.load(constants.default_path())))
         obj["kernels"]["tau"]["zetas"] = ladder
         path.write_text(json.dumps(obj))
         with pytest.raises(constants.UnknownConstant, match="tau needs zeta_1..zeta_k"):
             constants.load(path)
+    # a ladder's length is its kernel's degree, so a ladder for no kernel is rejected too
+    obj = json.loads(constants.to_json(constants.load(constants.default_path())))
+    obj["kernels"]["bogus"] = {"zetas": {"1": "1/9"}}
+    path.write_text(json.dumps(obj))
+    with pytest.raises(constants.UnknownConstant, match="'bogus' is not a valid KernelId"):
+        constants.load(path)
 
 
 def test_get_follows_env_override_and_clear_cache(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankdep import KernelId, SampleTooSmall, WrongArity, constants, eval_kernel, mu_h, mu_h_exact
-from rankdep.kernels import DEGREE, SCALE, table
+from rankdep.kernels import table
 
 
 def test_known_kernel_values():
@@ -40,16 +40,16 @@ def test_table_values_and_scaling():
     }
     for kid in KernelId:
         tbl = table(kid)
-        assert len(tbl) == math.factorial(DEGREE[kid])
+        assert len(tbl) == math.factorial(kid.degree)
         assert set(tbl.values()) == expected_values[kid]
         assert sum(tbl.values()) == 0  # exact zero null mean
         assert all(abs(v) <= 1 for v in tbl.values())
-        assert all((v * SCALE[kid]).denominator == 1 for v in tbl.values())
+        assert all((v * kid.scale).denominator == 1 for v in tbl.values())
 
 
 def test_symmetric_in_point_order():
     for kid in (KernelId.TAU, KernelId.RHO_HAT):
-        pts = [(1, 2), (2, 1), (3, 3)][: DEGREE[kid]]
+        pts = [(1, 2), (2, 1), (3, 3)][: kid.degree]
         base = eval_kernel(kid, pts)
         for perm in itertools.permutations(pts):
             assert eval_kernel(kid, list(perm)) == base
@@ -62,7 +62,7 @@ def test_swap_coordinates_symmetry(seed):
 
     rng = np.random.default_rng(seed)
     for kid in KernelId:
-        k = DEGREE[kid]
+        k = kid.degree
         xs = (rng.permutation(k) + 1).tolist()
         ys = (rng.permutation(k) + 1).tolist()
         pts = list(zip(xs, ys))
@@ -108,7 +108,7 @@ def test_mu_matches_direct_enumeration_at_minimum_n():
     from rankdep.exact import mu_exact
 
     for kid in KernelId:
-        k = DEGREE[kid]
+        k = kid.degree
         assert mu_h_exact(kid, k) == mu_exact(kid, k)
 
 
@@ -124,13 +124,13 @@ def test_mu_requires_enough_points():
 def test_kernel_spec_constants():
     # k, d, zeta_d and eta are all derived from the stamped zeta ladder
     s = constants.get().kernel(KernelId.TAU)
-    assert (s.k, s.d, s.zeta_d, s.eta) == (2, 1, Fraction(1, 9), None)
+    assert (KernelId.TAU.degree, s.d, s.zeta_d, s.eta) == (2, 1, Fraction(1, 9), None)
     s = constants.get().kernel(KernelId.RHO_HAT)
-    assert (s.k, s.d, s.zeta_d, s.eta) == (3, 1, Fraction(1, 9), None)
+    assert (KernelId.RHO_HAT.degree, s.d, s.zeta_d, s.eta) == (3, 1, Fraction(1, 9), None)
     s = constants.get().kernel(KernelId.T_STAR)
-    assert (s.k, s.d, s.zeta_d) == (4, 2, Fraction(1, 225))
+    assert (KernelId.T_STAR.degree, s.d, s.zeta_d) == (4, 2, Fraction(1, 225))
     assert s.eta == Fraction(2, 525) ** 2
     s = constants.get().kernel(KernelId.HOEFF_D)
-    assert (s.k, s.d, s.zeta_d) == (5, 2, Fraction(1, 810000))
+    assert (KernelId.HOEFF_D.degree, s.d, s.zeta_d) == (5, 2, Fraction(1, 810000))
     assert s.eta == Fraction(1, 945000) ** 2
     assert s.eta <= s.zeta_d**2  # trace bound

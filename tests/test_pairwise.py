@@ -31,7 +31,6 @@ from rankdep import (
 )
 from rankdep import pairwise
 from rankdep._rng import generator
-from rankdep.kernels import DEGREE
 from rankdep.pairwise import _FAST_U, _hoeffding_num
 
 REL = 1e-10
@@ -75,7 +74,7 @@ def test_scalar_rank_sums_exact_past_int64():
 def test_fast_paths_match_subset_enumeration():
     rng = generator(99, 0, 0)
     for kid in KernelId:
-        k = DEGREE[kid]
+        k = kid.degree
         for trial in range(25):
             n = int(rng.integers(k, 13))
             rx, ry = perm(rng, n), perm(rng, n)
@@ -145,7 +144,7 @@ def test_coordinate_swap_symmetry():
     rng = generator(97, 0, 0)
     for kid in KernelId:
         for trial in range(10):
-            n = int(rng.integers(DEGREE[kid], 12))
+            n = int(rng.integers(kid.degree, 12))
             rx, ry = perm(rng, n), perm(rng, n)
             assert _FAST_U[kid](rx, ry) == _FAST_U[kid](ry, rx)
 
@@ -293,9 +292,9 @@ def test_threads_below_one_rejected():
 
 def test_float64_ceilings_raise_before_work():
     f64 = 2**53
-    rho_max = pairwise.TAU_FAMILY[(KernelId.RHO_HAT, "U")]
-    tau_w_max = pairwise.TAU_FAMILY[(KernelId.TAU, "W")]
-    assert (pairwise.TAU_FAMILY[(KernelId.TAU, "U")], rho_max, tau_w_max) == (2**24, 131_071, 13_777)
+    rho_max = pairwise._ceiling(KernelId.RHO_HAT, "U")
+    tau_w_max = pairwise._ceiling(KernelId.TAU, "W")
+    assert (pairwise._ceiling(KernelId.TAU, "U"), rho_max, tau_w_max) == (2**24, 131_071, 13_777)
     # each is the last n whose float64 intermediate is an exact integer
     def rank_gram_bound(n):
         return 2 * n * (n + 1) * (2 * n + 1)
@@ -317,6 +316,38 @@ def test_float64_ceilings_raise_before_work():
     fake = SimpleNamespace(n=2**24 + 1, m=2)  # the guard reads only n and m
     with pytest.raises(ExactnessCeiling, match=f"n <= {2**24}, got {2**24 + 1}"):
         pair_statistics(fake, [(KernelId.TAU, "U")])
+
+
+# (kernel, kind) -> (minimum n, largest exact n, engine) of every row of the pair stage
+GRAM, W_ENGINE = pairwise.tau_family_pairs, pairwise._w_engine
+PAIR_STAGE_ROWS = {
+    (KernelId.TAU, "U"): (2, 2**24, GRAM),
+    (KernelId.RHO_HAT, "U"): (3, 131_071, GRAM),
+    (KernelId.T_STAR, "U"): (4, 3_963_368, (pairwise._tstar, pairwise._tstar_plan)),
+    (KernelId.HOEFF_D, "U"): (5, 55_108, (pairwise._hoeffd, pairwise._hoeffd_plan)),
+    (KernelId.TAU, "W"): (4, 13_777, GRAM),
+    (KernelId.RHO_HAT, "W"): (6, 8_193, W_ENGINE),
+    (KernelId.T_STAR, "W"): (8, 702, W_ENGINE),
+    (KernelId.HOEFF_D, "W"): (10, 224, W_ENGINE),
+}
+
+
+def test_every_pair_stage_row():
+    assert {req: engine for req, (engine, _) in pairwise._PAIR_STAGE.items()} == {
+        req: engine for req, (_, _, engine) in PAIR_STAGE_ROWS.items()
+    }
+    rng = generator(60, 0, 0)
+    for req, (min_n, ceiling, _) in PAIR_STAGE_ROWS.items():
+        kernel, kind = req
+        with pytest.raises(SampleTooSmall, match=rf"{kind}\({kernel.key}\) needs n >= {min_n}, got {min_n - 1}"):
+            pair_statistics(SimpleNamespace(n=min_n - 1, m=2), [req])
+        rx, ry = perm(rng, min_n), perm(rng, min_n)
+        (got,) = all_pairs(RankMatrix(np.column_stack([rx, ry])), kernel, kind).values
+        oracle = u_stat_naive if kind == "U" else w_stat_naive
+        assert close(got, oracle(kernel, rx, ry)), req
+        assert pairwise._ceiling(kernel, kind) == ceiling, req
+        with pytest.raises(ExactnessCeiling, match=rf"{kind}\({kernel.key}\) is exact for n <= {ceiling}, got"):
+            pair_statistics(SimpleNamespace(n=ceiling + 1, m=2), [req])
 
 
 def test_mixed_request_raises_before_any_engine():
@@ -375,7 +406,7 @@ def test_pair_stage_does_not_recheck_columns(monkeypatch):
 
 
 def test_hoeffding_ceiling_raises_before_count_matrix():
-    ceiling = pairwise._HOEFFD_CEILING
+    ceiling = pairwise._ceiling(KernelId.HOEFF_D, "U")
     assert ceiling == 55_108 and ceiling**4 < 2**63 <= (ceiling + 1) ** 4
     # the count matrix at n = 55,109 would take gigabytes; the guard comes first
     up = np.arange(1, ceiling + 2)
@@ -529,7 +560,7 @@ def test_block_cores_match_pinned_values():
 def test_block_cores_match_subset_enumeration():
     rng = np.random.default_rng(21)
     for kid, core in ((KernelId.T_STAR, pairwise._tstar), (KernelId.HOEFF_D, pairwise._hoeffd)):
-        for n in range(DEGREE[kid], 10):
+        for n in range(kid.degree, 10):
             up = np.arange(1, n + 1)
             X = np.array([up, up] + [rng.permutation(n) + 1 for _ in range(5)])
             Y = np.array([up, up[::-1]] + [rng.permutation(n) + 1 for _ in range(5)])
@@ -569,7 +600,7 @@ def test_count_type_holds_n_squared_and_widens_after():
         info = np.iinfo(pairwise._count_type(n))
         assert pairwise._count_type(n) == width and info.min <= -(n * n) and n * n <= info.max, n
         assert np.iinfo(pairwise._count_type(n + 1)).bits == 2 * info.bits, n
-    assert pairwise._count_type(pairwise._TSTAR_CEILING) == np.int64
+    assert pairwise._count_type(pairwise._ceiling(KernelId.T_STAR, "U")) == np.int64
 
 
 def test_block_budget_does_not_change_bits(monkeypatch):
@@ -655,7 +686,7 @@ def test_tstar_chunk_sums_fall_back_to_row_sums(monkeypatch):
     # test runs; near the ceiling a chunk of short rows passes 2^63 and sums row by row
     for n in (64, 8192):
         assert all(pairwise._tstar_chunk_fits(n, lo, hi) for lo, hi in pairwise._tstar_chunks(n)), n
-    n = pairwise._TSTAR_CEILING
+    n = pairwise._ceiling(KernelId.T_STAR, "U")
     assert pairwise._tstar_plan(n)[1] == 1 and pairwise._tstar_chunk_fits(n, 0, 1)
     lo = n - 2001  # the chunk with 2,000 columns takes n // 2000 rows
     assert not pairwise._tstar_chunk_fits(n, lo, lo + n // 2000)
@@ -692,7 +723,8 @@ def test_stacked_tau_engine_matches_single_calls():
     n, m, depth = 64, 16, 20
     stack = _rank_stack(58, depth, n, m)
     assert pairwise._slab_rows(depth * m, pairwise.BYTE_BUDGET // 2) * 4 < math.comb(n, 2)
-    for reqs in ([(KernelId.TAU, "U"), (KernelId.RHO_HAT, "U")], list(pairwise.TAU_FAMILY)):
+    gram_rows = [(KernelId.TAU, "U"), (KernelId.RHO_HAT, "U"), (KernelId.TAU, "W")]
+    for reqs in (gram_rows[:2], gram_rows):
         got = pairwise.tau_family_pairs(stack, reqs)
         for b in range(depth):
             alone = pairwise.tau_family_pairs(stack[b : b + 1], reqs)
@@ -754,17 +786,18 @@ def test_pair_stage_calls_block_cores_per_block(monkeypatch):
     reqs = [(KernelId.T_STAR, "U"), (KernelId.HOEFF_D, "U")]
     want = pair_statistics(rm, reqs)
     sizes = {}
-    for kid, (core, plan) in list(pairwise._U_BLOCKS.items()):
+    for kid, kind in reqs:
+        (core, plan), ceiling = pairwise._PAIR_STAGE[(kid, kind)]
         def counted(X, Y, core=core, kid=kid):
             sizes.setdefault(kid, []).append(len(X))
             return core(X, Y)
 
-        monkeypatch.setitem(pairwise._U_BLOCKS, kid, (counted, plan))
+        monkeypatch.setitem(pairwise._PAIR_STAGE, (kid, kind), ((counted, plan), ceiling))
     for name in ("tstar", "hoeffding_d"):
         monkeypatch.setattr(pairwise, name, lambda *a: pytest.fail("a scalar kernel ran in the pair stage"))
     got = pair_statistics(rm, reqs)
     for kid, kind in reqs:
-        step = pairwise._U_BLOCKS[kid][1](64)[0]
+        step = pairwise._PAIR_STAGE[(kid, kind)][0][1](64)[0]
         assert step > 1 and sizes[kid] == [step] * (66 // step) + [66 % step] * (66 % step > 0), kid
         assert got[(kid, kind)].values.tobytes() == want[(kid, kind)].values.tobytes()
 
