@@ -33,13 +33,15 @@ inversions by a bottom-up merge, log n whole-array numpy steps (_inversions).
   pairs given as two (P, n) rank arrays, in whole-array numpy calls.  Every
   per-element count is held in _count_type(n), the narrowest signed integer
   holding n^2 (int8 to n = 11, int16 to 181, int32 to 46,340, then int64).
-  t* forms its prefix counts down a chunk of rows by ceil(log2 rows)
-  shifted whole-array adds, not a cumsum, which numpy runs as a scalar loop
-  along that axis, and sums each chunk of each pair in one int64
-  (row by row where that could overflow, _tstar_chunk_fits); sums across
-  chunks, and D's, are Python ints.  All of a block's temporaries, counted
-  at that width, fit a quarter of BYTE_BUDGET (_plan).  The scalar tstar
-  and hoeffding_d are the P = 1 case.
+  t* compares straight into that type, forms its prefix counts down a chunk
+  of rows by ceil(log2 rows) shifted whole-array adds from one buffer into
+  a second and back (not a cumsum, which numpy runs as a scalar loop along
+  that axis, nor in place, where numpy first copies the overlapping
+  operand), and sums each chunk of each pair in one int64 (row by row where
+  that could overflow, _tstar_chunk_fits); sums across chunks, and D's, are
+  Python ints.  All of a block's temporaries, counted at that width, fit
+  half of BYTE_BUDGET (_plan): 15 t* pairs at n = 64 and 3 at n = 128.  The
+  scalar tstar and hoeffding_d are the P = 1 case.
 - _w_engine, once per pair: the W of every kernel but tau (below).
 
 Largest exact n of each path, derived in code (ExactnessCeiling above it),
@@ -178,16 +180,17 @@ BYTE_BUDGET = 1 << 20  # bytes of temporaries a pair engine holds at once
 
 def _plan(rows_cap: int, row_bytes: int, pair_bytes: int) -> tuple[int, int]:
     """(pairs per block, rows per chunk) of a block core whose pairs hold pair_bytes and
-    row_bytes per row: a block fits a quarter of BYTE_BUDGET, its rows half of that (at
-    least one pair, one row); at the whole budget glibc unmapped and re-faulted blocks.
-    numpy's ufunc buffers and the input copies of t*'s overlapping adds are not counted,
-    so a block can exceed its quarter by up to about 1.7x (one D pair at n = 8,192), but
-    a whole all_pairs call stays below the budget: tracemalloc peaks of 0.18-0.28 of it at
-    (5, 48), (64, 32) and (2048, 2), and 0.32-0.44 at (8192, 2), with t*'s per-n setup
-    built in the same call or before."""
-    budget = BYTE_BUDGET // 4
-    rows = min(rows_cap, max(1, budget // (2 * row_bytes)))
-    return max(1, budget // (pair_bytes + rows * row_bytes)), rows
+    row_bytes per row: a block fits its share, half of BYTE_BUDGET, and its rows half of
+    that (at least one pair, one row).  Each pair-stage worker holds one block at a
+    time, so a call's blocks hold at most workers x share.  The share suits a 2 MiB
+    per-core L2: on a simulate batch at n = 64, t* ran a fifth faster than at a quarter
+    or the whole budget, where glibc also unmapped and re-faulted its arrays at 128^2.
+    numpy's ufunc buffers are not counted: tracemalloc peaks of one block, its per-n
+    setup built in the same call, were 0.41-0.75 of the share for n = 5...8,192, and of
+    a whole all_pairs call 0.27-0.63 of the budget at (5, 48) to (8192, 2)."""
+    share = BYTE_BUDGET // 2
+    rows = min(rows_cap, max(1, share // (2 * row_bytes)))
+    return max(1, share // (pair_bytes + rows * row_bytes)), rows
 
 
 def _count_type(n: int) -> np.dtype:
@@ -303,17 +306,20 @@ def _tstar(X: np.ndarray, Y: np.ndarray) -> list[float]:
     V[np.arange(P)[:, None], n - X] = n - Y
     q = 0  # Python ints once a chunk's sums are added
     for lo, hi in _tstar_bounds(n, rows):  # rows i = s + 1 of points s in [lo, hi), columns j > lo
-        h = np.less(V[:, lo:hi, None], V[:, None, lo + 1 :]).astype(w)
+        h, g = (np.empty((P, hi - lo, n - 1 - lo), dtype=w) for _ in range(2))
+        np.less(V[:, lo:hi, None], V[:, None, lo + 1 :], out=h)
         if lo:
             h[:, 0] += carry[:, lo - prev :]  # the counts over s < lo, carried
         k = 1
         while k < hi - lo:  # running sums down the rows, ceil(log2 rows) shifted adds
-            h[:, k:] += h[:, :-k]  # numpy reads the overlapping operand as it was
+            np.add(h[:, k:], h[:, :-k], out=g[:, k:])  # into g: an in-place add would copy
+            g[:, :k] = h[:, :k]
+            h, g = g, h
             k *= 2
         prev = lo
         carry = h[:, -1].copy()
         d = np.diagonal(h, axis1=1, axis2=2)[:, :, None].copy()  # H[i, i]
-        a = np.minimum(h, d)
+        a = np.minimum(h, d, out=g)
         a *= a - 1
         np.maximum(h, d, out=h)
         np.subtract(i_col[lo:hi], h, out=h)  # b
@@ -700,7 +706,7 @@ def _pair_values(stack: np.ndarray, reqs: set, threads: int) -> dict[tuple, np.n
                 b = min(hi, a + step)
                 row[a:b] = core(cols[ps[a:b]], cols[qs[a:b]])
 
-    workers = min(threads, ps.size, _usable_cpus())
+    workers = min(threads, ps.size, _usable_cpus())  # blocks held at once: one per worker
     if workers == 1:  # inline: one worker needs no pool
         work(0, ps.size)
     else:

@@ -449,9 +449,9 @@ def test_tau_engine_memory_is_bounded():
 
 
 def test_block_cores_stay_within_the_byte_budget():
-    # the t* and D block cores size each block to a quarter of BYTE_BUDGET; numpy's
-    # ufunc buffers and the row-sum lists are not counted, but the whole call stays
-    # below the budget, over many short pairs, a square grid and one long pair
+    # the t* and D block cores size each block to half of BYTE_BUDGET; numpy's
+    # ufunc buffers are not counted, but the whole call stays below the budget,
+    # over many short pairs, a square grid and one long pair
     for n, m in ((5, 48), (64, 32), (2048, 2)):
         rm = _random_ranks(62, n, m)
         for kernel in (KernelId.T_STAR, KernelId.HOEFF_D):
@@ -604,13 +604,13 @@ def test_count_type_holds_n_squared_and_widens_after():
 
 
 def test_block_budget_does_not_change_bits(monkeypatch):
-    # a few bytes give blocks of one pair and chunks of one row; 4 KiB splits
-    # D's rows and 64 KiB t*'s rows into chunks and D's pairs into blocks of several
+    # a few bytes give blocks of one pair and chunks of one row; 2 KiB splits
+    # D's rows and 32 KiB t*'s rows into chunks and D's pairs into blocks of several
     rm = _random_ranks(54, 37, 7)
     reqs = [(KernelId.T_STAR, "U"), (KernelId.HOEFF_D, "U")]
     want = pair_statistics(rm, reqs)
     plans = set()
-    for budget in (4, 4096, 65536):
+    for budget in (4, 2048, 32768):
         monkeypatch.setattr(pairwise, "BYTE_BUDGET", budget)
         plans |= {pairwise._tstar_plan(37), pairwise._hoeffd_plan(37)}
         for threads in (1, 3):
@@ -618,6 +618,36 @@ def test_block_budget_does_not_change_bits(monkeypatch):
             for req in reqs:
                 assert got[req].values.tobytes() == want[req].values.tobytes(), (budget, threads, req)
     assert {(1, 1), (1, 6), (1, 27), (3, 37)} <= plans  # (pairs per block, rows per chunk)
+
+
+def test_block_plans_at_the_default_budget():
+    # a block gets half of the 1 MiB budget: (pairs per block, rows per chunk)
+    assert pairwise.BYTE_BUDGET == 1 << 20
+    assert [pairwise._tstar_plan(n) for n in (64, 128)] == [(15, 63), (3, 127)]
+    assert [pairwise._hoeffd_plan(n) for n in (64, 128)] == [(45, 64), (13, 128)]
+
+
+def test_one_block_peaks_below_its_share():
+    # one block at its plan size, its per-n setup built in the same call, holds less
+    # than its share, though the plan does not count numpy's ufunc buffers
+    share = pairwise.BYTE_BUDGET // 2
+    rng = np.random.default_rng(66)
+    cores = (
+        (pairwise._tstar, pairwise._tstar_plan, pairwise._tstar_setup),
+        (pairwise._hoeffd, pairwise._hoeffd_plan, pairwise._hoeffd_setup),
+    )
+    for n in (5, 64, 128, 2048, 8192):
+        for core, plan, setup in cores:
+            pairs = plan(n)[0]
+            X, Y = (np.array([rng.permutation(n) + 1 for _ in range(pairs)]) for _ in range(2))
+            setup.cache_clear()
+            tracemalloc.start()
+            try:
+                core(X, Y)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < share, (core.__name__, n, pairs, peak / share)
 
 
 def test_tstar_runs_the_chunks_of_the_current_budget(monkeypatch):
@@ -650,20 +680,20 @@ def test_tstar_runs_the_chunks_of_the_current_budget(monkeypatch):
 
 def test_tstar_chunks_sized_by_their_columns():
     # the chunk at lo has n - 1 - lo columns; its rows fill what the plan gave
-    # rows of n, so every chunk's counted bytes fit a quarter of the budget.
-    # At n = 8,192 one pair's six n-vectors alone take more (295 KB), and no
+    # rows of n, so every chunk's counted bytes fit a block's share of the budget.
+    # At n = 16,384 one pair's six n-vectors alone take more (590 KB), and no
     # chunk may hold more than the plan's block of one pair and one row of n.
-    quarter = pairwise.BYTE_BUDGET // 4
-    for n in (8, 37, 64, 256, 1024, 4096, 8192):
+    share = pairwise.BYTE_BUDGET // 2
+    for n in (8, 37, 64, 256, 1024, 4096, 8192, 16384):
         pairs, rows = pairwise._tstar_plan(n)
         s = pairwise._count_type(n).itemsize
         planned = pairs * ((24 + 3 * s) * n + rows * (2 + 3 * s) * n)
-        assert (planned <= quarter) == (n < 8192), n
+        assert (planned <= share) == (n < 16384), n
         chunks = pairwise._tstar_chunks(n)
         assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]] and chunks[-1][1] == n - 1
         for lo, hi in chunks:
             counted = pairs * ((24 + 3 * s) * n + (hi - lo) * (2 + 3 * s) * (n - 1 - lo))
-            assert counted <= max(quarter, planned), (n, lo, hi)
+            assert counted <= max(share, planned), (n, lo, hi)
     assert pairwise._tstar_chunks(64) == [(0, 63)]  # n = 64 runs one chunk, as with rows of n
     assert len(pairwise._tstar_chunks(8192)) < 8191  # sized for n columns, every chunk was one row
 
