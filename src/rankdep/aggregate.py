@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateColumn, SampleTooSmall, UnknownConstant
 from .kernels import KernelId, mu_h_exact
-from .pairwise import stacked_pair_values, stacked_spearman
+from .pairwise import _upper, stacked_pair_values, stacked_spearman
 from .ranks import RankMatrix
 
 
@@ -147,14 +147,13 @@ def _correlations(statistic: StatisticId, stack: np.ndarray, data) -> np.ndarray
         return stacked_spearman(stack)
     if data is None or np.shape(data) != stack.shape:
         raise ConfigError("s_pearson needs the data matrix the ranks came from")
-    upper = np.triu_indices(stack.shape[2], 1)
     with np.errstate(all="ignore"):
         r = np.array([np.corrcoef(x, rowvar=False) for x in data])
     bad = ~np.isfinite(r)
     if bad.any():  # in the first such matrix, a degenerate column's whole row is NaN
         column = int(np.argmax(bad[np.argmax(bad.any(axis=(1, 2)))].sum(axis=1)))
         raise DegenerateColumn(f"{statistic.name} is undefined: column {column} has zero or non-finite variance")
-    return r[:, upper[0], upper[1]]
+    return _upper(r)
 
 
 def stacked_raw_statistics(stack: np.ndarray, statistics, threads: int = 1, data=None) -> list[list[float]]:
@@ -163,8 +162,8 @@ def stacked_raw_statistics(stack: np.ndarray, statistics, threads: int = 1, data
     ``data``, the (depth, n, m) stack the ranks came from, is read by s_pearson only.
 
     Statistics are grouped by pair_requirement, and one stacked_pair_values call
-    computes each pair result once for the whole stack; ``threads`` splits its
-    list of pairs.  Each matrix's values are reduced on their own, so they do
+    computes each pair result once for the whole stack; ``threads`` is passed
+    on to its check.  Each matrix's values are reduced on their own, so they do
     not depend on the stack they came in.
     """
     stats = list(statistics)

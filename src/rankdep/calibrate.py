@@ -125,9 +125,10 @@ def montecarlo_nulls(
     Each permutation dataset is drawn once and all statistics are evaluated
     on it together, so table i equals montecarlo_null(statistics[i], ...).
     Replicates run in batches of consecutive ones, each batch one stack
-    through stacked_raw_statistics; ``threads`` splits a batch's list of
-    pairs.  Replicate r's value equals raw_statistics(permutation_ranks(n, m,
-    seed, r), ...) bitwise.  s_pearson, which reads data, has no permutation null.
+    through stacked_raw_statistics, on the calling thread; ``threads`` is
+    checked and selects nothing.  Replicate r's value equals
+    raw_statistics(permutation_ranks(n, m, seed, r), ...) bitwise.  s_pearson,
+    which reads data, has no permutation null.
     """
     stats = list(statistics)
     if reps < 1:

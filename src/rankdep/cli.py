@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 selftest failure, 2 data problem (unparseable file,
 ties under the reject policy, sample too small, n above an exactness
 ceiling, a zero- or non-finite-variance column under s_pearson), 3
-configuration problem (an unwritable --out is found before any input is read).
+configuration problem (an unwritable --out, and a seed outside [0, 2^64), are
+found before any input is read).
 """
 
 from __future__ import annotations
@@ -83,14 +84,19 @@ def read_csv_matrix(path: str) -> np.ndarray:
     return np.array(data, dtype=np.float64)
 
 
-def _default_seed() -> int:
-    env = os.environ.get("RANKDEP_SEED")
-    if env is not None:
+def _seed(given: int | None) -> int:
+    """--seed, else $RANKDEP_SEED, else 0.  The keyed streams fold a seed modulo 2^64,
+    so one outside [0, 2^64) would run another seed's streams under its own name."""
+    source, seed = "--seed", given
+    if seed is None:
+        source, env = "RANKDEP_SEED", os.environ.get("RANKDEP_SEED", "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ConfigError(f"RANKDEP_SEED must be an integer, got {env!r}") from None
-    return 0
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{source} must lie in [0, 2^64), got {seed}")
+    return seed
 
 
 def _split_stats(spec: str) -> list[str]:
@@ -133,7 +139,7 @@ def _method(name: str, reps: int, seed: int) -> Method:
 
 def cmd_test(args) -> int:
     _check_out(args.out)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args.seed)
     data = read_csv_matrix(args.data)
     ranks = compute_ranks(data, JitterWithSeed(seed) if args.ties == "jitter" else REJECT)
     stats = [statistic_from_name(s) for s in _split_stats(args.stats)]
@@ -160,7 +166,7 @@ def cmd_test(args) -> int:
 
 def cmd_simulate(args) -> int:
     _check_out(args.out)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args.seed)
     scenario = SimScenario(
         family=args.family,
         n=args.n,

@@ -5,7 +5,7 @@ integer counts divided by an integer, the batch paths push the same integers
 through GEMMs whose partial sums stay below the exact-integer capacity of
 the float type (2^24 for float32 sign products, 2^53 for float64), and the
 naive oracles enumerate subsets with rational arithmetic.  Exactness is what
-makes results bit-identical regardless of thread count.
+makes results bit-identical regardless of BLAS threading or blocking.
 
 stacked_pair_values is the one pair stage: it takes a (depth, n, m) stack of
 rank matrices (a stack of one for pair_statistics, a batch of permutation
@@ -13,10 +13,11 @@ replicates for the Monte Carlo null) and is the one place that checks it:
 each requested (kernel, kind) against its minimum n (k for U, 2k for W) and
 its ceiling, before any engine runs.  Each row of _PAIR_STAGE, its one table,
 holds a (kernel, kind)'s engine, one per algebraic form, and ceiling.  The last
-two engines run over the stack's depth C(m,2) column pairs split into at most
-``threads`` contiguous ranges: the package's only thread pool.  Scalar
-functions check their own input; the scalar Kendall tau and rho_hat count
-inversions by a bottom-up merge, log n whole-array numpy steps (_inversions).
+two engines run over the stack's depth C(m,2) column pairs in order, on the
+calling thread; only BLAS, in the tau Gram's GEMMs, runs threads of its own.
+Scalar functions check their own input; the scalar Kendall tau and rho_hat
+count inversions by a bottom-up merge, log n whole-array numpy steps
+(_inversions).
 
 - Tau Gram, tau_family_pairs: tau U, rho_hat U and tau W from the sign
   products sign(R_ip - R_jp) sign(R_iq - R_jq).  The stack's matrices sit
@@ -70,8 +71,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -181,8 +180,8 @@ BYTE_BUDGET = 1 << 20  # bytes of temporaries a pair engine holds at once
 def _plan(rows_cap: int, row_bytes: int, pair_bytes: int) -> tuple[int, int]:
     """(pairs per block, rows per chunk) of a block core whose pairs hold pair_bytes and
     row_bytes per row: a block fits its share, half of BYTE_BUDGET, and its rows half of
-    that (at least one pair, one row).  Each pair-stage worker holds one block at a
-    time, so a call's blocks hold at most workers x share.  The share suits a 2 MiB
+    that (at least one pair, one row).  The pair stage holds one block at a time, so
+    a call's blocks hold at most one share.  The share suits a 2 MiB
     per-core L2: on a simulate batch at n = 64, t* ran a fifth faster than at a quarter
     or the whole budget, where glibc also unmapped and re-faulted its arrays at 128^2.
     numpy's ufunc buffers are not counted: tracemalloc peaks of one block, its per-n
@@ -660,14 +659,11 @@ def _ceiling(kernel: KernelId, kind: str) -> int:
     return ceiling(kernel) if callable(ceiling) else ceiling
 
 
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def _check_requests(reqs: set, n: int, m: int, threads: int) -> None:
-    """The pair stage's one check: ``threads``, at least 2 columns (even with no
-    request, so a correlation-only stack fails here too), and every request's minimum
-    n and _ceiling, in a fixed order (the same first error under any hash seed)."""
+    """The pair stage's one check: ``threads`` (at least 1; it selects no code path),
+    at least 2 columns (even with no request, so a correlation-only stack fails here
+    too), and every request's minimum n and _ceiling, in a fixed order (the same first
+    error under any hash seed)."""
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     if m < 2:
@@ -681,39 +677,28 @@ def _check_requests(reqs: set, n: int, m: int, threads: int) -> None:
         _check_ceiling(n, _ceiling(kernel, kind), f"{kind}({kernel.key})")
 
 
-def _pair_values(stack: np.ndarray, reqs: set, threads: int) -> dict[tuple, np.ndarray]:
+def _pair_values(stack: np.ndarray, reqs: set) -> dict[tuple, np.ndarray]:
     depth, n, m = stack.shape
     gram = {req for req in reqs if _PAIR_STAGE[req][0] is tau_family_pairs}
     out = tau_family_pairs(stack, gram)
-    rest = list(reqs - gram)
+    rest = reqs - gram
     if not rest:
         return out
     # row b m + p: column p of matrix b; pair i of the stack is (ps[i], qs[i])
     cols = np.ascontiguousarray(stack.transpose(0, 2, 1)).reshape(depth * m, n)
     ps, qs = ((m * np.arange(depth)[:, None] + t).ravel() for t in _triu(m))
-    vals = np.empty((len(rest), ps.size), dtype=np.float64)
-
-    def work(lo, hi):
-        for row, (kernel, kind) in zip(vals, rest):
-            engine = _PAIR_STAGE[(kernel, kind)][0]
-            if engine is _w_engine:
-                for i in range(lo, hi):
-                    row[i] = _w_engine(kernel, cols[ps[i]], cols[qs[i]], n)
-                continue
+    for kernel, kind in rest:
+        engine = _PAIR_STAGE[(kernel, kind)][0]
+        row = np.empty(ps.size, dtype=np.float64)
+        if engine is _w_engine:
+            for i in range(ps.size):
+                row[i] = _w_engine(kernel, cols[ps[i]], cols[qs[i]], n)
+        else:
             core, plan = engine
             step = plan(n)[0]
-            for a in range(lo, hi, step):
-                b = min(hi, a + step)
-                row[a:b] = core(cols[ps[a:b]], cols[qs[a:b]])
-
-    workers = min(threads, ps.size, _usable_cpus())  # blocks held at once: one per worker
-    if workers == 1:  # inline: one worker needs no pool
-        work(0, ps.size)
-    else:
-        bounds = np.linspace(0, ps.size, workers + 1).astype(int).tolist()
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(work, bounds[:-1], bounds[1:]))
-    out.update((req, v.reshape(depth, -1)) for req, v in zip(rest, vals))
+            for a in range(0, ps.size, step):
+                row[a : a + step] = core(cols[ps[a : a + step]], cols[qs[a : a + step]])
+        out[(kernel, kind)] = row.reshape(depth, -1)
     return out
 
 
@@ -725,14 +710,14 @@ def stacked_pair_values(stack: np.ndarray, requirements, threads: int = 1) -> di
     permutations of 1..n: RankMatrix checked them, or they were drawn as such.
     The tau family comes from one tau_family_pairs pass over the whole stack.
     t* U and D U run their block core on blocks of pairs, and every other W its
-    _w_engine once per pair, over the depth C(m,2) pairs split into one
-    contiguous range per worker thread, at most ``threads`` and the usable CPUs.
-    All paths are exact-integer, so no value depends on ``threads`` or on how
-    matrices are stacked.
+    _w_engine once per pair, over the depth C(m,2) pairs in order on the calling
+    thread.  ``threads`` is checked (at least 1) and selects nothing.  All paths
+    are exact-integer, so no value depends on ``threads`` or on how matrices are
+    stacked.
     """
     reqs = set(requirements)
     _check_requests(reqs, stack.shape[1], stack.shape[2], threads)
-    return _pair_values(stack, reqs, threads)
+    return _pair_values(stack, reqs)
 
 
 def pair_statistics(ranks: RankMatrix, requirements, threads: int = 1) -> dict[tuple, PairStatistics]:
@@ -741,7 +726,7 @@ def pair_statistics(ranks: RankMatrix, requirements, threads: int = 1) -> dict[t
     reqs = set(requirements)
     n, m = ranks.n, ranks.m
     _check_requests(reqs, n, m, threads)
-    vals = _pair_values(ranks.ranks[None], reqs, threads)
+    vals = _pair_values(ranks.ranks[None], reqs)
     return {req: PairStatistics(*req, values=v[0], n=n, m=m) for req, v in vals.items()}
 
 

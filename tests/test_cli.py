@@ -133,6 +133,29 @@ def test_bad_env_seed(tmp_path, capsys, monkeypatch):
     assert main(["test", str(p), "--method", "montecarlo"]) == 3
 
 
+@pytest.mark.parametrize("seed, env", [("-1", None), (str(2**64), None), (None, "-1")])
+def test_seed_outside_64_bits_exits_3(tmp_path, capsys, monkeypatch, seed, env):
+    # the streams fold a seed modulo 2^64, so one outside [0, 2^64) is refused
+    # before the input is read (the CSV is missing) and before --out is written
+    if env is not None:
+        monkeypatch.setenv("RANKDEP_SEED", env)
+    out = tmp_path / "r.out"
+    given = [] if seed is None else ["--seed", seed]
+    simulate = ["simulate", "--family", "iid-null", "-n", "12", "-m", "3", "--reps", "2"]
+    for argv in (["test", str(tmp_path / "missing.csv")], simulate):
+        assert main(argv + given + ["--out", str(out)]) == 3, argv
+        got = capsys.readouterr()
+        assert got.out == "" and len(got.err.splitlines()) == 1 and got.err.startswith("error: ")
+        assert not out.exists()
+
+
+def test_largest_seed_runs(tmp_path, capsys):
+    p = write_demo_csv(tmp_path / "d.csv", n=16)
+    argv = ["test", str(p), "--method", "montecarlo", "--reps", "9", "--seed", str(2**64 - 1)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["results"][0]["seed"] == 2**64 - 1
+
+
 def test_data_problems_exit_2(tmp_path, capsys):
     assert main(["test", str(tmp_path / "missing.csv")]) == 2
 

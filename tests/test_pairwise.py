@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -249,34 +250,18 @@ def test_pair_statistics_matches_all_pairs():
             assert got[req].values.tobytes() == want[req].tobytes(), (threads, req)
 
 
-def test_workers_capped_at_usable_cpus(monkeypatch):
-    rm = _random_ranks(51, 10, 6)
-    want = all_pairs(rm, KernelId.T_STAR, "U").values
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was built with one usable CPU")
-
-    monkeypatch.setattr(pairwise, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(pairwise, "ThreadPoolExecutor", no_pool)
-    assert all_pairs(rm, KernelId.T_STAR, "U", threads=8).values.tobytes() == want.tobytes()
-
-
-def test_eight_way_split_does_not_change_bits(monkeypatch):
-    # with 8 CPUs reported, threads=8 really splits the pairs 8 ways
+def test_threads_start_no_thread(monkeypatch):
+    # threads is checked and selects no code path: at threads=8 with no thread
+    # allowed to start, the per-pair engines give threads=1's bits
     rm = _random_ranks(52, 12, 8)
     reqs = [(KernelId.T_STAR, "U"), (KernelId.HOEFF_D, "U"), (KernelId.RHO_HAT, "W")]
     want = pair_statistics(rm, reqs, threads=1)
-    sizes = []
 
-    class Pool(pairwise.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    def no_start(self):
+        raise AssertionError("the pair stage started a thread")
 
-    monkeypatch.setattr(pairwise, "_usable_cpus", lambda: 8)
-    monkeypatch.setattr(pairwise, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(threading.Thread, "start", no_start)
     got = pair_statistics(rm, reqs, threads=8)
-    assert sizes == [8]
     for req in reqs:
         assert got[req].values.tobytes() == want[req].values.tobytes(), req
 
