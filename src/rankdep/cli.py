@@ -10,13 +10,16 @@ found before any input is read).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import errno
 import io
 import json
 import math
 import os
+import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -40,21 +43,38 @@ REPORT_SCHEMA = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad flags; route through ConfigError
-    # so that configuration problems consistently exit 3
+    # argparse exits with status 2 on bad flags, routed through ConfigError to exit 3, and
+    # reads -inf or -1e5 as an unknown option: any negative float literal is a value here
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|-(inf|infinity|nan)$", re.I)
+
     def error(self, message):
         raise ConfigError(message)
 
 
 def read_csv_matrix(path: str) -> np.ndarray:
-    """Parse a CSV of samples-by-variables; a first row with a non-float cell is a header."""
+    """Parse a CSV of samples-by-variables; a first row with a non-float cell is a header.
+    Its lines are read once, so a pipe works.  np.loadtxt parses a file of 2 x 2 or more
+    finite numbers and nothing else; _parse_csv, which gives the same array there, the rest."""
     try:
         with open(path, newline="") as f:
-            reader = csv.reader(f)
-            # (line in the file, cells), numbered before blank lines are dropped
-            rows = [(reader.line_num, r) for r in reader if any(c.strip() for c in r)]
+            lines = f.readlines()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
+    with warnings.catch_warnings(), contextlib.suppress(ValueError, UserWarning):
+        warnings.simplefilter("error", UserWarning)  # loadtxt warns on an empty input
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        if min(data.shape) >= 2 and np.isfinite(data).all():
+            return data
+    return _parse_csv(lines, path)
+
+
+def _parse_csv(lines: list[str], path: str) -> np.ndarray:
+    """read_csv_matrix's csv.reader parse: headers, blank rows, quoted cells, every error."""
+    reader = csv.reader(lines)
+    # (line in the file, cells), numbered before blank lines are dropped
+    rows = [(reader.line_num, r) for r in reader if any(c.strip() for c in r)]
     if not rows:
         raise ParseError(f"{path} is empty")
     width = len(rows[0][1])

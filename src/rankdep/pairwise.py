@@ -3,7 +3,7 @@
 Every routine here is exact: the scalar fast paths reduce each statistic to
 integer counts divided by an integer, the batch paths push the same integers
 through GEMMs whose partial sums stay below the exact-integer capacity of
-the float type (2^24 for float32 sign products, 2^53 for float64), and the
+the float type (2^24 for float32 0/1 products, 2^53 for float64), and the
 naive oracles enumerate subsets with rational arithmetic.  Exactness is what
 makes results bit-identical regardless of BLAS threading or blocking.
 
@@ -20,16 +20,18 @@ count inversions by a bottom-up merge, log n whole-array numpy steps
 (_inversions).
 
 - Tau Gram, tau_family_pairs: tau U, rho_hat U and tau W from the sign
-  products sign(R_ip - R_jp) sign(R_iq - R_jq).  The stack's matrices sit
-  side by side as one (n, depth m) float32 array, so one subtraction forms a
-  row of signs for the whole stack.  The U pass streams the i < j rows in
-  slabs of at most half of BYTE_BUDGET, and stack_depth sizes a stack so that
-  its other arrays fit the other half.  The W pass takes blocks of a few
-  points i, each point's n rows of signs and its m x m Grams g_i counted, in
-  at most BYTE_BUDGET (at least one point); halving the blocks slowed it at
-  n = 768, m = 32 by about a fifth on 2 vCPUs with 2 BLAS threads.  Slabs and
-  blocks have fewer than 2^24 rows, and each adds the depth diagonal m x m
-  blocks of its Gram by one stacked GEMM, which keeps each product exact.
+  products sign(R_ip - R_jp) sign(R_iq - R_jq), through the Grams of the 0/1
+  indicators [R_jp < R_ip] (the two identities are at _tau_gram and _tau_rows).
+  The stack's matrices sit side by side as one (n, depth m) float32 array, so
+  one np.less forms a row of indicators for the whole stack.  The U pass
+  streams the i < j rows in slabs of at most half of BYTE_BUDGET, and
+  stack_depth sizes a stack so that its other arrays fit the other half.  The
+  W pass takes blocks of a few points i, each point's n rows of indicators and
+  its m x m Grams counted, in at most BYTE_BUDGET (at least one point); halving
+  the blocks slowed it at n = 768, m = 32 by about a fifth on 2 vCPUs with 2
+  BLAS threads.  Slabs and blocks have fewer than 2^24 rows, and each adds the
+  depth diagonal m x m blocks of its Gram by one stacked GEMM, which keeps each
+  product exact.
 - Dominance count, _tstar and _hoeffd: t* U and D U on a block of P column
   pairs given as two (P, n) rank arrays, in whole-array numpy calls.  Every
   per-element count is held in _count_type(n), the narrowest signed integer
@@ -47,7 +49,7 @@ count inversions by a bottom-up merge, log n whole-array numpy steps
 
 Largest exact n of each path, derived in code (ExactnessCeiling above it),
 the pair stage's in their _PAIR_STAGE rows:
-  tau U 2^24 (float32 sign products); rho_hat U and Spearman's rho 131,071
+  tau U 2^24 (float32 0/1 products); rho_hat U and Spearman's rho 131,071
   (12 sum R S in float64); all-pairs tau W 13,777 (C(n,2)^2 in float64);
   t* U 3,963,368 (int64 row sums below 4 n^3 / 27); Hoeffding's D U 55,108
   (int64 terms below n^4); _w_engine's W: rho_hat 8,193, t* 702, D 224, and
@@ -474,21 +476,8 @@ class PairStatistics:
 #   G = n(n-1) tau = sum_{i != j} s_ij^p s_ij^q = 2 sum_{i < j} s_ij^p s_ij^q
 #   g_i = sum_j s_ij^p s_ij^q (so G = sum_i g_i) and, with T = G / 2,
 #   C(n,2) C(n-2,2) W_tau = T^2 - sum_i g_i^2 + C(n,2).
-# Ranks in a column are distinct, so R_ip - R_jp is zero only for j = i;
-# signs come from _signs, and the W path zeroes the j = i entries itself.
-
-_SIGN_BIT, _ONE_BITS = np.uint32(0x80000000), np.uint32(0x3F800000)  # float32 bits: sign, 1.0
-
-
-def _signs(a: np.ndarray) -> np.ndarray:
-    """copysign(1, a) of a contiguous float32 array, in place and bit for bit (+-0, +-inf
-    and NaN too): each sign bit kept, the other bits set to 1.0's.  Two SIMD bitwise
-    passes over a uint32 view, where np.copysign into float32 is not vectorised."""
-    bits = a.view(np.uint32)
-    np.bitwise_and(bits, _SIGN_BIT, out=bits)
-    np.bitwise_or(bits, _ONE_BITS, out=bits)
-    return a
-
+# Ranks in a column are distinct, so for j != i the sign is 2 [R_jp < R_ip] - 1:
+# both passes form 0/1 indicators by one np.less, and their Grams give the signs'.
 
 _F32_EXACT = 2 ** (np.finfo(np.float32).nmant + 1)  # every integer up to 2^24
 _F64_EXACT = 2 ** (np.finfo(np.float64).nmant + 1)  # every integer up to 2^53
@@ -498,15 +487,15 @@ _RANK_GRAM_CEILING = _largest_n(lambda n: 2 * n * (n + 1) * (2 * n + 1) <= _F64_
 
 
 def _slab_rows(width: int, budget: int) -> int:
-    rows = max(1, budget // (4 * width))  # float32 sign rows
-    # a slab's column products sum at most `rows` terms of +-1, exact in float32
+    rows = max(1, budget // (4 * width))  # float32 indicator rows
+    # a slab's column products sum at most `rows` terms of 0 or 1, exact in float32
     assert rows <= _F32_EXACT
     return rows
 
 
 def stack_depth(n: int, m: int) -> int:
     """How many (n, m) rank matrices one stack holds: as many as fit the half of
-    BYTE_BUDGET that the sign slab leaves (at least one), counting for each its
+    BYTE_BUDGET that the indicator slab leaves (at least one), counting for each its
     ranks twice and four m x m Grams or scaled copies, all in 8-byte words."""
     return max(1, BYTE_BUDGET // 2 // (8 * m * (2 * n + 4 * m)))
 
@@ -518,50 +507,55 @@ def _gram(a: np.ndarray) -> np.ndarray:
 
 def _tau_gram(rf: np.ndarray, depth: int) -> np.ndarray:
     """G = n(n-1) tau for every column pair of the ``depth`` matrices side by side in
-    rf, (n, depth m): a (depth, m, m) array, from the i < j sign rows only."""
+    rf, (n, depth m): a (depth, m, m) array, from the N = C(n,2) rows i < j only.  Their
+    indicators u = [R_j < R_i] are the signs' (s + 1) / 2, so with c = U^T U and d its
+    diagonal, G = 2 (4 c - 2 d_p - 2 d_q + N)."""
     n, width = rf.shape
     m = width // depth
     cap = _slab_rows(width, BYTE_BUDGET // 2)
     slab = np.empty((min(cap, n * (n - 1) // 2), width), dtype=np.float32)
-    g = np.zeros((depth, m, m), dtype=np.float64)
+    c = np.zeros((depth, m, m), dtype=np.float64)
     fill = 0
 
     def flush(rows):
-        _signs(rows)
-        np.add(g, _gram(rows.reshape(len(rows), depth, m).transpose(1, 0, 2)), out=g)
+        np.add(c, _gram(rows.reshape(len(rows), depth, m).transpose(1, 0, 2)), out=c)
 
     for i in range(n - 1):
         lo = i + 1
         while lo < n:
             take = min(n - lo, cap - fill)
-            np.subtract(rf[i], rf[lo : lo + take], out=slab[fill : fill + take])
+            np.less(rf[lo : lo + take], rf[i], out=slab[fill : fill + take])
             fill += take
             lo += take
             if fill == cap:
                 flush(slab)
                 fill = 0
     flush(slab[:fill])
-    return 2.0 * g
+    d = 2.0 * np.diagonal(c, axis1=1, axis2=2)
+    return 2.0 * (4.0 * c - d[:, :, None] - d[:, None, :] + math.comb(n, 2))
 
 
 def _tau_rows(rf: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """G = sum_i g_i and sum_i g_i**2 (elementwise) of each of the ``depth`` matrices
-    side by side in rf, (n, depth m), blocks of rows i at a time."""
+    side by side in rf, (n, depth m), blocks of rows i at a time.  Point i's indicators
+    L_i[j, p] = [R_jp < R_ip] are zero on its own row j = i and sum to R_ip - 1 down a
+    column, so g_i = n + 3 - 2 R_ip - 2 R_iq + 4 L_i^T L_i = 4 (L_i - 1/2)^T (L_i - 1/2) - 1:
+    the centred indicators' Gram, in multiples of 1/4 below n/4, exact in float32."""
     n, width = rf.shape
     m = width // depth
-    # per point i: its n x depth m float32 signs and depth m x m Grams g_i, float32 and float64
+    # per point i: its n x depth m float32 indicators and depth m x m Grams, float32 and float64
     step = max(1, BYTE_BUDGET // (4 * n * width + 12 * width * m))
-    g = np.zeros((depth, m, m), dtype=np.float64)
-    g2 = np.zeros((depth, m, m), dtype=np.float64)
+    q, q2 = np.zeros((2, depth, m, m), dtype=np.float64)
+    buf = np.empty((min(step, n), n, width), dtype=np.float32)
     for lo in range(0, n, step):
-        rows = np.arange(min(step, n - lo))
-        b = rf[lo : lo + rows.size, None, :] - rf[None, :, :]  # (rows, n, depth m)
-        _signs(b)
-        b[rows, lo + rows, :] = 0.0
-        gi = _gram(b.reshape(rows.size, n, depth, m).transpose(0, 2, 1, 3)).astype(np.float64)
-        g += gi.sum(axis=0)
-        g2 += np.einsum("kbpq,kbpq->bpq", gi, gi)
-    return g, g2
+        k = min(step, n - lo)
+        b = np.less(rf, rf[lo : lo + k, None], out=buf[:k])
+        b -= 0.5
+        gi = _gram(b.reshape(k, n, depth, m).transpose(0, 2, 1, 3)).astype(np.float64)
+        q += gi.sum(axis=0)
+        q2 += np.einsum("kbpq,kbpq->bpq", gi, gi)
+    # with h_i = 4 gi = g_i + 1: G = sum h_i - n, sum g_i^2 = sum h_i^2 - 2 sum h_i + n
+    return 4.0 * q - n, 16.0 * q2 - 8.0 * q + n
 
 
 def _rank_gram(stack: np.ndarray) -> np.ndarray:
@@ -607,10 +601,10 @@ def tau_family_pairs(stack: np.ndarray, requirements) -> dict[tuple[KernelId, st
 
     ``requirements`` is a collection of (kernel, kind) pairs whose _PAIR_STAGE row
     names this engine, checked by the caller (stacked_pair_values) against their
-    minimum n and ceiling.  The sign products are formed once: by the per-row W
-    pass when tau W is requested (it also yields G), otherwise by the
-    upper-triangle U pass.  Each value is an exact integer ratio rounded once,
-    so the result does not depend on BLAS threading, blocking or the depth.
+    minimum n and ceiling.  The indicators [R_jp < R_ip], whose Grams give the sign
+    products', are formed once: by the per-row W pass when tau W is requested (it also
+    yields G), otherwise by the upper-triangle U pass.  Each value is an exact integer
+    ratio rounded once, so the result does not depend on BLAS threading, blocking or the depth.
     """
     reqs = set(requirements)
     if not reqs:
@@ -639,7 +633,7 @@ def tau_family_pairs(stack: np.ndarray, requirements) -> dict[tuple[KernelId, st
 # whose engine is the tau Gram are the tau family, run in one pass.  A W row's ceiling
 # is _w_ceiling, run on first use: it builds the kernel's pattern table (tens of ms).
 _PAIR_STAGE = {
-    (KernelId.TAU, "U"): (tau_family_pairs, _F32_EXACT),  # float32 signs and slab Grams
+    (KernelId.TAU, "U"): (tau_family_pairs, _F32_EXACT),  # float32 indicators and slab Grams
     (KernelId.RHO_HAT, "U"): (tau_family_pairs, _RANK_GRAM_CEILING),
     # in float64, T^2 <= C(n,2)^2
     (KernelId.TAU, "W"): (tau_family_pairs, _largest_n(lambda n: math.comb(n, 2) ** 2 <= _F64_EXACT, 4)),

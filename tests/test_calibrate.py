@@ -160,7 +160,7 @@ def test_montecarlo_null_sorted_and_thread_invariant():
 
 
 def test_montecarlo_nulls_per_pair_kernels_thread_invariant():
-    # s_d and t_rho_hat run per-pair kernels, the loop that threads splits
+    # s_d and t_rho_hat run per-pair kernels, on the calling thread at any thread count
     stats = [statistic_from_name(s) for s in ("s_d", "t_rho_hat")]
     t1 = montecarlo_nulls(stats, n=12, m=4, reps=10, seed=6, threads=1)
     t3 = montecarlo_nulls(stats, n=12, m=4, reps=10, seed=6, threads=3)

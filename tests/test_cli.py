@@ -1,18 +1,23 @@
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import threading
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from test_cli_fuzz import csv_texts
 
 from rankdep import constants
 from rankdep._rng import generator
-from rankdep.cli import main, read_csv_matrix
+from rankdep.cli import _parse_csv, main, read_csv_matrix
 from rankdep.errors import ParseError
 
 
@@ -73,6 +78,50 @@ def test_read_csv_matrix_rows_are_file_lines(tmp_path):
     with pytest.raises(ParseError) as info:
         read_csv_matrix(str(p))
     assert (info.value.row, info.value.column) == (4, 2)
+
+
+def _parsed(parse, *args):
+    try:
+        a = parse(*args)
+    except ParseError as e:
+        return str(e), e.row, e.column
+    return a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=csv_texts())
+def test_read_csv_matrix_equals_the_csv_reader_parse(text):
+    # np.loadtxt parses the all-numeric files and _parse_csv the rest: the same
+    # bits as _parse_csv on every file, or the same error, row and column
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        with open(path, "w", newline="") as f:
+            f.write(text)
+        lines = io.StringIO(text, newline="").readlines()  # as open(path, newline="") reads them
+        assert _parsed(read_csv_matrix, path) == _parsed(_parse_csv, lines, path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_read_csv_matrix_reads_a_pipe_once(tmp_path):
+    # a header sends the lines on to _parse_csv, which parses the lines already
+    # read: opening the pipe a second time would wait for a writer forever
+    fifo = str(tmp_path / "d.fifo")
+    os.mkfifo(fifo)
+    got = []
+
+    def write():
+        with open(fifo, "w") as f:
+            f.write("x,y\n1.0,2.0\n3.5,0.25\n4,5\n")
+
+    threads = [
+        threading.Thread(target=write, daemon=True),
+        threading.Thread(target=lambda: got.append(read_csv_matrix(fifo)), daemon=True),
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert len(got) == 1 and got[0].tolist() == [[1.0, 2.0], [3.5, 0.25], [4.0, 5.0]]
 
 
 def test_exactness_ceiling_exits_2(tmp_path, capsys):
@@ -213,6 +262,20 @@ def test_config_problems_exit_3(tmp_path, capsys):
     assert main(["test", str(p), "--method", "bogus"]) == 3
     assert main(["test", str(p), "--threads", "0"]) == 3
     capsys.readouterr()
+
+
+def test_negative_float_values_reach_their_range_checks(tmp_path, capsys):
+    # argparse took a value such as -inf or -1e5 for an unknown option, so the
+    # option was reported as missing its argument
+    p = write_demo_csv(tmp_path / "d.csv", n=16)
+    simulate = ["simulate", "--family", "mvn", "-n", "10", "-m", "3", "--reps", "2"]
+    for argv, err in (
+        (["test", str(p), "--alpha", "-inf"], "error: alpha must lie in (0, 1), got -inf\n"),
+        (["test", str(p), "--alpha", "-1e5"], "error: alpha must lie in (0, 1), got -100000.0\n"),
+        (simulate + ["--signal", "-inf"], "error: signal must be nonnegative, got -inf\n"),
+    ):
+        assert main(argv) == 3, argv
+        assert capsys.readouterr().err == err, argv
 
 
 def test_reps_checked_before_pair_stage(tmp_path, capsys):
